@@ -30,6 +30,7 @@ from .expr import ParseError
 from .orbit import (
     LineDualError,
     OrbitError,
+    PlanePoint,
     from_abc,
     geometry,
     orbit_to_dict,
@@ -52,6 +53,13 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError as err:
         raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from err
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_env.add_argument("--energy", type=float, help="fixed energy E < 0")
     p_env.add_argument("--x0", type=float, help="fixed point abscissa (energy)")
     p_env.add_argument("--area", type=float, help="fixed area (hooke)")
-    p_env.add_argument("--members", type=int, default=20)
+    p_env.add_argument("--members", type=_positive_int, default=20)
     p_env.set_defaults(func=cmd_envelope)
 
     return parser
@@ -218,13 +226,9 @@ def cmd_ode_invariants(args) -> int:
 
 
 def cmd_ode_wunschmann(args) -> int:
-    alpha = inv._as_number(args.alpha)
-    exponent = -alpha if not isinstance(alpha, float) else -float(alpha)
-    force_rho = ex.pow_(ex.var("rho"), exponent)
-    ode = inv.central_3rd_order(force_rho)
-    residual = ex.max_residual(inv.wunschmann_residual(ode), ode.box)
-    print(f"wunschmann_residual = {residual!r}")
-    print(f"satisfied = {residual <= ex.ZERO_TEST_THRESHOLD}")
+    (row,) = inv.power_law_scan([args.alpha], "wunschmann")
+    print(f"wunschmann_residual = {row.residual!r}")
+    print(f"satisfied = {row.passed}")
     return 0
 
 
@@ -252,8 +256,6 @@ def _is_number(cell: str) -> bool:
 
 
 def cmd_map(args) -> int:
-    from .orbit import PlanePoint
-
     if args.name == "flattenM" and args.m is None:
         raise CliError("flattenM needs --m")
     if args.name == "hill" and args.energy is None:
@@ -263,6 +265,9 @@ def cmd_map(args) -> int:
     for row in rows:
         if len(row) < 2:
             out_rows.append(["", "", "", "short row"])
+            continue
+        if not all(map(_is_number, row[-2:])):
+            out_rows.append(["", "", "", "non-numeric row"])
             continue
         x, y = float(row[-2]), float(row[-1])
         try:

@@ -66,6 +66,10 @@ class MathDomainError(EvalError):
         self.value = value
 
 
+class PowerOverflowError(EvalError):
+    """A power left the range of a double."""
+
+
 # --------------------------------------------------------------------------
 # Nodes
 # --------------------------------------------------------------------------
@@ -443,13 +447,16 @@ def _pow_value(base: float, exponent: Number) -> float:
         if p < 0.0:
             raise DivisionByZeroError("zero base raised to a negative power")
         return 0.0 if p > 0.0 else 1.0
-    if base < 0.0 and not integral:
-        raise MathDomainError("power", base)
+    sign = 1.0
     if base < 0.0:
+        if not integral:
+            raise MathDomainError("power", base)
         n = int(exponent) if isinstance(exponent, Fraction) else int(p)
         sign = -1.0 if n % 2 else 1.0
-        return sign * (-base) ** p
-    return base ** p
+    try:
+        return sign * abs(base) ** p
+    except OverflowError as err:
+        raise PowerOverflowError(f"{base!r}^{p!r} overflows a double") from err
 
 
 # --------------------------------------------------------------------------
@@ -478,21 +485,6 @@ class JetContext:
             raise ValueError(
                 f"RHS has free variables outside the declared jet variables: {sorted(extra)}"
             )
-
-
-def jet2(rhs: Expr, x: str = "x", y: str = "y", p: str = "p", params=()) -> JetContext:
-    return JetContext(rhs, (x, y, p), frozenset(params))
-
-
-def jet3(
-    rhs: Expr,
-    theta: str = "theta",
-    rho: str = "rho",
-    rho1: str = "rho1",
-    rho2: str = "rho2",
-    params=(),
-) -> JetContext:
-    return JetContext(rhs, (theta, rho, rho1, rho2), frozenset(params))
 
 
 def total_derivative(e: Expr, ctx: JetContext) -> Expr:
@@ -530,7 +522,7 @@ def max_residual(
     trials: int = ZERO_TEST_TRIALS,
     seed: int = ZERO_TEST_SEED,
 ) -> float:
-    """Largest scaled residual |value| / (1 + max intermediate) over samples."""
+    """Largest scaled residual |value| / (1 + max intermediate) over samples, inf if not finite."""
     missing = free_vars(e) - set(box)
     if missing:
         raise ValueError(f"box does not cover free variables: {sorted(missing)}")
@@ -540,6 +532,8 @@ def max_residual(
     for _ in range(max(1, trials)):
         point = {n: rng.uniform(*box[n]) for n in names}
         value, peak = evaluate_tracked(e, point)
+        if not (math.isfinite(value) and math.isfinite(peak)):
+            return math.inf
         scaled = abs(value) / (1.0 + peak)
         if scaled > worst:
             worst = scaled

@@ -71,24 +71,8 @@ class MinkPlane:
             raise MinkowskiError("plane normal must be nonzero")
 
 
-@dataclass(frozen=True)
-class Pencil:
-    """Line of R^{2,1}: base + t * direction, a 1-parameter orbit family."""
-
-    base: MinkVec
-    direction: MinkVec
-
-    def __post_init__(self):
-        if self.direction.euclid2() == 0.0:
-            raise MinkowskiError("pencil direction must be nonzero")
-
-
 def norm2(v: MinkVec) -> float:
     return v.a * v.a + v.b * v.b - v.c * v.c
-
-
-def inner(u: MinkVec, v: MinkVec) -> float:
-    return u.a * v.a + u.b * v.b - u.c * v.c
 
 
 def classify_vector(v: MinkVec, tol: float = NULL_TOL) -> CausalType:

@@ -137,6 +137,8 @@ class OrbitGeometry:
 
 def from_abc(a: float, b: float, c: float) -> KeplerOrbit:
     """Canonicalize a dual triple; (a, b, c) and (a, b, -c) are one orbit."""
+    if not all(map(math.isfinite, (a, b, c))):
+        raise OrbitError(f"the triple ({a}, {b}, {c}) is not finite")
     if a == 0.0 and b == 0.0 and c == 0.0:
         raise OrbitError("the zero triple does not define a curve")
     if c == 0.0:
@@ -172,14 +174,10 @@ def point_at(o: KeplerOrbit, theta: float) -> PlanePoint:
     return PlanePoint(r * math.cos(theta), r * math.sin(theta))
 
 
-def sample_thetas(
-    o: KeplerOrbit, n: int, branch: str = "attractive", delta: float = ARC_DELTA
-) -> list[float]:
-    """Equally spaced angles over the arc where the branch has rho > delta."""
-    if n < 3:
-        raise OrbitError("need at least 3 sample points")
+def arc_half_width(o: KeplerOrbit, branch: str, delta: float) -> float | None:
+    """Half-width w of the arc |theta - pericenter angle| < w on which the
+    branch has rho > delta, or None when that holds on the full circle."""
     h = math.hypot(o.a, o.b)
-    t0 = math.atan2(o.b, o.a)
     if branch == "attractive":
         bound = delta - o.c
     elif branch == "repelling":
@@ -189,8 +187,20 @@ def sample_thetas(
     else:
         raise ValueError(f"unknown branch {branch!r}")
     if h == 0.0 or bound / h <= -1.0:
+        return None
+    return math.acos(max(-1.0, min(1.0, bound / h)))
+
+
+def sample_thetas(
+    o: KeplerOrbit, n: int, branch: str = "attractive", delta: float = ARC_DELTA
+) -> list[float]:
+    """Equally spaced angles over the arc where the branch has rho > delta."""
+    if n < 3:
+        raise OrbitError("need at least 3 sample points")
+    t0 = o.pericenter_angle
+    w = arc_half_width(o, branch, delta)
+    if w is None:
         return [t0 + 2.0 * math.pi * i / n for i in range(n)]
-    w = math.acos(max(-1.0, min(1.0, bound / h)))
     step = 2.0 * w / (n + 1)
     return [t0 - w + (i + 1) * step for i in range(n)]
 
@@ -333,6 +343,25 @@ def _pericenter_time_scale(o: KeplerOrbit) -> float:
     return 2.0 * math.pi * r0 ** 1.5
 
 
+def rk4(f, y0: np.ndarray, h: float, steps: int, guard=None) -> np.ndarray:
+    """Classic fixed-step RK4 for y' = f(y); returns the (steps+1, d) states.
+
+    `guard(i, y)` runs before step i and may raise to stop the run.
+    """
+    out = np.empty((steps + 1, len(y0)))
+    y = out[0] = y0
+    for i in range(steps):
+        if guard is not None:
+            guard(i, y)
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = y
+    return out
+
+
 def newton_flow(o: KeplerOrbit, steps: int | None = None, dt: float | None = None) -> Trajectory:
     """Fixed-step RK4 trajectory of r'' = -r/|r|^3 from the pericenter.
 
@@ -352,7 +381,6 @@ def newton_flow(o: KeplerOrbit, steps: int | None = None, dt: float | None = Non
     r0 = 1.0 / (math.hypot(o.a, o.b) + o.c)
     u = np.array([math.cos(t0), math.sin(t0)])
     v0 = (o.ang_momentum / r0) * np.array([-u[1], u[0]])
-    state = np.concatenate([r0 * u, v0])
 
     def deriv(s: np.ndarray) -> np.ndarray:
         r = math.hypot(s[0], s[1])
@@ -361,15 +389,7 @@ def newton_flow(o: KeplerOrbit, steps: int | None = None, dt: float | None = Non
         inv_r3 = 1.0 / (r * r * r)
         return np.array([s[2], s[3], -s[0] * inv_r3, -s[1] * inv_r3])
 
-    out = np.empty((steps + 1, 4))
-    out[0] = state
-    for i in range(steps):
-        k1 = deriv(state)
-        k2 = deriv(state + 0.5 * dt * k1)
-        k3 = deriv(state + 0.5 * dt * k2)
-        k4 = deriv(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = state
+    out = rk4(deriv, np.concatenate([r0 * u, v0]), dt, steps)
     t = dt * np.arange(steps + 1)
     return Trajectory(t=t, pos=out[:, :2], vel=out[:, 2:])
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .minkowski import MinkVec
-from .orbit import PlanePoint
+from .orbit import PlanePoint, rk4
 
 J3 = np.diag([1.0, 1.0, -1.0])
 
@@ -273,23 +273,19 @@ def flow(
     if steps is None:
         steps = max(200, math.ceil(abs(t) * 2000))
     h = t / steps
-    cur = np.array([p.x, p.y])
 
     def rhs(xy: np.ndarray) -> np.ndarray:
         pt = PlanePoint(float(xy[0]), float(xy[1]))
         v = vf_plane(x, pt, sheet)
         return np.array([v.vx, v.vy])
 
-    for i in range(steps):
-        r = math.hypot(cur[0], cur[1])
+    def guard(i: int, xy: np.ndarray) -> None:
+        r = math.hypot(xy[0], xy[1])
         if r < 1e-12 or r > 1e12:
             raise FlowExitError("flow left the punctured plane", i * h)
-        k1 = rhs(cur)
-        k2 = rhs(cur + 0.5 * h * k1)
-        k3 = rhs(cur + 0.5 * h * k2)
-        k4 = rhs(cur + h * k3)
-        cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return PlanePoint(float(cur[0]), float(cur[1]))
+
+    end = rk4(rhs, np.array([p.x, p.y]), h, steps, guard)[-1]
+    return PlanePoint(float(end[0]), float(end[1]))
 
 
 def flow_dual(x: AlgebraElement, v: MinkVec, t: float, steps: int | None = None) -> MinkVec:
@@ -297,16 +293,10 @@ def flow_dual(x: AlgebraElement, v: MinkVec, t: float, steps: int | None = None)
     if steps is None:
         steps = max(200, math.ceil(abs(t) * 2000))
     h = t / steps
-    cur = np.array([v.a, v.b, v.c])
 
     def rhs(w: np.ndarray) -> np.ndarray:
         vel = vf_dual(x, MinkVec(float(w[0]), float(w[1]), float(w[2])))
         return np.array([vel.a, vel.b, vel.c])
 
-    for _ in range(steps):
-        k1 = rhs(cur)
-        k2 = rhs(cur + 0.5 * h * k1)
-        k3 = rhs(cur + 0.5 * h * k2)
-        k4 = rhs(cur + h * k3)
-        cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return MinkVec(float(cur[0]), float(cur[1]), float(cur[2]))
+    end = rk4(rhs, np.array([v.a, v.b, v.c]), h, steps)[-1]
+    return MinkVec(float(end[0]), float(end[1]), float(end[2]))

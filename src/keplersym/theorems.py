@@ -13,7 +13,7 @@ family member must have a root of even multiplicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from .orbit import (
     ConicClass,
     KeplerOrbit,
     PlanePoint,
+    arc_half_width,
     from_abc,
     geometry,
     rho as orbit_rho,
@@ -127,48 +128,27 @@ def polar_graph_curve(
     return ParametricCurve(fn=fn, d1=d1, d2=d2, domain=(0.0, 2.0 * math.pi), closed=True)
 
 
-def orbit_curve(o: KeplerOrbit, margin: float = 1e-3, branch: str = "attractive") -> ParametricCurve:
-    """Attractive (or repelling) branch as a parametric curve over its arc."""
-    h = math.hypot(o.a, o.b)
-    t0 = o.pericenter_angle
-    sign = 1.0 if branch == "attractive" else -1.0
-    if branch == "repelling" and h <= o.c:
-        raise TheoremError("orbit has no repelling branch")
-    bound = (margin - sign * o.c) / h if h > 0 else -2.0
-    if bound <= -1.0:
-        domain = (t0, t0 + 2.0 * math.pi)
-        closed = True
-    else:
-        w = math.acos(max(-1.0, min(1.0, bound)))
-        domain = (t0 - w + 1e-9, t0 + w - 1e-9)
-        closed = False
+def orbit_curve(o: KeplerOrbit, margin: float = 1e-3) -> ParametricCurve:
+    """Attractive branch as a parametric curve over its arc rho > margin."""
 
-    def rho_fn(t):
-        return o.a * math.cos(t) + o.b * math.sin(t) + sign * o.c
+    def dp(t):
+        return -o.a * math.sin(t) + o.b * math.cos(t)
 
-    def fn(t):
-        r = 1.0 / rho_fn(t)
-        return (r * math.cos(t), r * math.sin(t))
+    def dr(t):
+        p = orbit_rho(o, t)
+        return -dp(t) / (p * p)
 
-    def d1(t):
-        p = rho_fn(t)
-        dp = -o.a * math.sin(t) + o.b * math.cos(t)
-        r = 1.0 / p
-        dr = -dp / (p * p)
-        c, s = math.cos(t), math.sin(t)
-        return (dr * c - r * s, dr * s + r * c)
-
-    def d2(t):
-        p = rho_fn(t)
-        dp = -o.a * math.sin(t) + o.b * math.cos(t)
+    def d2r(t):
+        p = orbit_rho(o, t)
         d2p = -o.a * math.cos(t) - o.b * math.sin(t)
-        r = 1.0 / p
-        dr = -dp / (p * p)
-        d2r = (2.0 * dp * dp - p * d2p) / (p * p * p)
-        c, s = math.cos(t), math.sin(t)
-        return (d2r * c - 2 * dr * s - r * c, d2r * s + 2 * dr * c - r * s)
+        return (2.0 * dp(t) * dp(t) - p * d2p) / (p * p * p)
 
-    return ParametricCurve(fn=fn, d1=d1, d2=d2, domain=domain, closed=closed)
+    curve = polar_graph_curve(lambda t: 1.0 / orbit_rho(o, t), dr, d2r)
+    t0 = o.pericenter_angle
+    w = arc_half_width(o, "attractive", margin)
+    if w is None:
+        return replace(curve, domain=(t0, t0 + 2.0 * math.pi))
+    return replace(curve, domain=(t0 - w + 1e-9, t0 + w - 1e-9), closed=False)
 
 
 # --------------------------------------------------------------------------

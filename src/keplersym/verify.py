@@ -10,7 +10,7 @@ from the wall-time field.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 import time
 import zlib
@@ -26,9 +26,10 @@ from . import theorems as th
 from .minkowski import MinkVec, PlaneType, classify_plane, pencil_classify, point_plane
 from .orbit import (
     KeplerOrbit,
+    PlanePoint,
     from_abc,
     fit,
-    geometry,
+    membership_residual,
     newton_flow,
     sample,
 )
@@ -37,7 +38,6 @@ from .symmetry import (
     SymmetryError,
     act_dual,
     act_plane,
-    algebra,
     basis,
     bracket,
     compose,
@@ -98,9 +98,6 @@ class VerifyReport:
             "wall_time_s": self.wall_time_s,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def _rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
@@ -120,12 +117,6 @@ def _random_orbit(rng, c_range=(0.5, 2.0), e_range=(0.0, 1.6)) -> KeplerOrbit:
 
 def _random_ellipse(rng, e_max=0.9) -> KeplerOrbit:
     return _random_orbit(rng, e_range=(0.0, e_max))
-
-
-def _conic_residual(v: MinkVec, x: float, y: float) -> float:
-    r = math.hypot(x, y)
-    s = v.a * x + v.b * y
-    return min(abs(s + v.c * r - 1.0), abs(s - v.c * r - 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -161,8 +152,6 @@ def case_vf_plane_closed_forms(seed: int, tol: float) -> CaseResult:
         x, y = rng.uniform(-3.0, 3.0, size=2)
         if math.hypot(x, y) < 1e-3:
             continue
-        from .orbit import PlanePoint
-
         p = PlanePoint(float(x), float(y))
         for gen, field in zip(gens, _PLANE_FIELDS):
             got = vf_plane(gen, p).velocity()
@@ -203,7 +192,7 @@ def case_commuting_square(seed: int, tol: float) -> CaseResult:
             except SymmetryError:
                 chart_exits += 1
                 continue
-            worst = max(worst, _conic_residual(image, q.x, q.y))
+            worst = max(worst, membership_residual(image, q.x, q.y))
         checked += 1
     return _result("commuting_square", worst, tol, detail=f"chart_exits={chart_exits}")
 
@@ -387,10 +376,14 @@ def case_zero_energy_scan(seed: int, tol: float) -> CaseResult:
     return _result("zero_energy_scan", float(failures), 0.5, detail=f"failing={sorted(failing)}")
 
 
-def case_zero_energy_kepler_flat(seed: int, tol: float) -> CaseResult:
+@functools.cache
+def _zero_energy_flatness(seed: int) -> float:
     ode = inv.fixed_e_ode(inv.kepler_force(), inv.kepler_potential(), 0)
-    residual = inv.flatness_residual(ode, seed=seed)
-    return _result("zero_energy_kepler_flat", residual, ex.ZERO_TEST_THRESHOLD)
+    return inv.flatness_residual(ode, seed=seed)
+
+
+def case_zero_energy_kepler_flat(seed: int, tol: float) -> CaseResult:
+    return _result("zero_energy_kepler_flat", _zero_energy_flatness(seed), ex.ZERO_TEST_THRESHOLD)
 
 
 # --------------------------------------------------------------------------
@@ -449,28 +442,25 @@ def case_tait_kneser_fig12(seed: int, tol: float) -> CaseResult:
                    detail=f"pairs={report.pairs}")
 
 
-def case_envelope_minor_axis(seed: int, tol: float) -> CaseResult:
-    env = th.envelope_minor_axis(2.0, 1.0)
+def _envelope_case(name: str, env: KeplerOrbit, members) -> CaseResult:
     worst = 0.0
-    for member in th.minor_axis_family(2.0, 1.0, np.linspace(-1.2, 1.2, 20)):
+    for member in members:
         report = th.tangency_report(member, env)
         if not report.even_contact:
-            return CaseResult("envelope_minor_axis", "fail", report.residual, 1e-7,
+            return CaseResult(name, "fail", report.residual, 1e-7,
                               detail="odd-multiplicity contact")
         worst = max(worst, report.residual)
-    return _result("envelope_minor_axis", worst, 1e-7)
+    return _result(name, worst, 1e-7)
+
+
+def case_envelope_minor_axis(seed: int, tol: float) -> CaseResult:
+    return _envelope_case("envelope_minor_axis", th.envelope_minor_axis(2.0, 1.0),
+                          th.minor_axis_family(2.0, 1.0, np.linspace(-1.2, 1.2, 20)))
 
 
 def case_envelope_energy(seed: int, tol: float) -> CaseResult:
-    env = th.envelope_energy(-0.5, 1.0)
-    worst = 0.0
-    for member in th.energy_family(-0.5, 1.0, np.linspace(-0.9, 0.9, 20)):
-        report = th.tangency_report(member, env)
-        if not report.even_contact:
-            return CaseResult("envelope_energy", "fail", report.residual, 1e-7,
-                              detail="odd-multiplicity contact")
-        worst = max(worst, report.residual)
-    return _result("envelope_energy", worst, 1e-7)
+    return _envelope_case("envelope_energy", th.envelope_energy(-0.5, 1.0),
+                          th.energy_family(-0.5, 1.0, np.linspace(-0.9, 0.9, 20)))
 
 
 def case_envelope_energy_focus(seed: int, tol: float) -> CaseResult:
@@ -489,7 +479,7 @@ def case_envelope_hooke(seed: int, tol: float) -> CaseResult:
         worst = max(worst, abs(max(ys) - env.half_gap), abs(min(ys) + env.half_gap))
     kepler_env = th.envelope_minor_axis(2.0, 1.0)
     for curve in members[::4]:
-        pts = [kmaps.square(_pp(*curve.point(t)))
+        pts = [kmaps.square(PlanePoint(*curve.point(t)))
                for t in np.linspace(0.1, 0.1 + 2 * math.pi, 24, endpoint=False)]
         res = fit(pts)
         report = th.tangency_report(res.orbit, kepler_env)
@@ -497,29 +487,25 @@ def case_envelope_hooke(seed: int, tol: float) -> CaseResult:
     return _result("envelope_hooke", worst, 1e-6)
 
 
-def _pp(x: float, y: float):
-    from .orbit import PlanePoint
-
-    return PlanePoint(x, y)
+@functools.cache
+def _newton_residuals() -> tuple[float, float]:
+    """(membership, conservation) residuals of the RK4 oracle; seed-free."""
+    membership = conservation = 0.0
+    for triple in ((0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (2.0, 0.0, 1.0)):
+        o = from_abc(*triple)
+        traj = newton_flow(o)
+        membership = max(membership, float(np.max(traj.membership_residuals(o))))
+        conservation = max(conservation, float(np.max(np.abs(traj.energies() - o.energy))),
+                           float(np.max(np.abs(np.abs(traj.ang_momenta()) - o.ang_momentum))))
+    return membership, conservation
 
 
 def case_newton_membership(seed: int, tol: float) -> CaseResult:
-    worst = 0.0
-    for triple in ((0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (2.0, 0.0, 1.0)):
-        o = from_abc(*triple)
-        traj = newton_flow(o)
-        worst = max(worst, float(np.max(traj.membership_residuals(o))))
-    return _result("newton_membership", worst, 1e-6)
+    return _result("newton_membership", _newton_residuals()[0], 1e-6)
 
 
 def case_newton_conservation(seed: int, tol: float) -> CaseResult:
-    worst = 0.0
-    for triple in ((0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (2.0, 0.0, 1.0)):
-        o = from_abc(*triple)
-        traj = newton_flow(o)
-        worst = max(worst, float(np.max(np.abs(traj.energies() - o.energy))))
-        worst = max(worst, float(np.max(np.abs(np.abs(traj.ang_momenta()) - o.ang_momentum))))
-    return _result("newton_conservation", worst, 1e-8)
+    return _result("newton_conservation", _newton_residuals()[1], 1e-8)
 
 
 def case_curved_quadric(seed: int, tol: float) -> CaseResult:
@@ -544,7 +530,7 @@ def case_square_lines_flat(seed: int, tol: float) -> CaseResult:
         d = rng.uniform(0.4, 2.0)
         normal = np.array([math.cos(phi), math.sin(phi)])
         tangent = np.array([-normal[1], normal[0]])
-        pts = [kmaps.square(_pp(*(d * normal + float(t) * tangent)))
+        pts = [kmaps.square(PlanePoint(*(d * normal + float(t) * tangent)))
                for t in rng.uniform(-1.5, 1.5, size=20)]
         res = fit(pts)
         if res.kind != "orbit":
@@ -628,15 +614,13 @@ def case_parabola_chart_law(seed: int, tol: float) -> CaseResult:
             if abs(by) < 1e-3:
                 continue
             q = kmaps.parabola_chart(float(bx), float(by))
-            worst = max(worst, _conic_residual(dual, q.x, q.y))
+            worst = max(worst, membership_residual(dual, q.x, q.y))
         done += 1
     return _result("parabola_chart_law", worst, 1e-10)
 
 
 def case_square_zero_energy_flat(seed: int, tol: float) -> CaseResult:
-    ode = inv.fixed_e_ode(inv.kepler_force(), inv.kepler_potential(), 0)
-    residual = inv.flatness_residual(ode, seed=seed)
-    return _result("square_zero_energy_flat", residual, ex.ZERO_TEST_THRESHOLD)
+    return _result("square_zero_energy_flat", _zero_energy_flatness(seed), ex.ZERO_TEST_THRESHOLD)
 
 
 _SUITE_CASES = {

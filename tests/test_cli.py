@@ -66,6 +66,17 @@ def test_orbit_info_line_is_domain_error(capsys):
     assert "line, not a Kepler orbit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "info", "--a", "nan", "--b", "0", "--c", "1"],
+    ["orbit", "sample", "--a", "0", "--b", "0", "--c", "inf"],
+])
+def test_orbit_rejects_non_finite_triples(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "NaN" not in out
+    assert "not finite" in err
+
+
 def test_orbit_sample_csv(capsys):
     code, out, _ = run(capsys, "orbit", "sample", "--a", "0.5", "--b", "0", "--c", "1", "--n", "100")
     assert code == 0
@@ -95,6 +106,14 @@ def test_ode_invariants_malformed_expression(capsys):
     code, _, err = run(capsys, "ode", "invariants", "--f", "sin(", "--at", "y=1")
     assert code == 2
     assert "position" in err
+
+
+def test_ode_invariants_power_overflow_is_domain_error(capsys):
+    code, out, err = run(capsys, "ode", "invariants", "--f", "p^400*y^400", "--at", "x=0,y=20,p=20")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "overflows" in err
 
 
 def test_ode_wunschmann_kepler(capsys):
@@ -143,6 +162,19 @@ def test_map_flatten_flags_singular_rows(tmp_path, capsys):
     assert float(rows[2][1]) == pytest.approx(1.0)
 
 
+def test_map_flags_non_numeric_rows(tmp_path, capsys):
+    src = tmp_path / "pts.csv"
+    src.write_text("theta,x,y\n0,abc,1\n0,1,0\n")
+    dst = tmp_path / "sq.csv"
+    code, _, _ = run(capsys, "map", "square", "--points", str(src), "--out", str(dst))
+    assert code == 0
+    with open(dst) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][3] == "non-numeric row"
+    assert rows[2][3] == ""
+    assert (float(rows[2][1]), float(rows[2][2])) == (1.0, 0.0)
+
+
 def test_map_requires_parameters(capsys, tmp_path):
     src = tmp_path / "pts.csv"
     src.write_text("theta,x,y\n0,1,0\n")
@@ -160,6 +192,12 @@ def test_envelope_minor_axis(capsys):
     for x, y in payload["envelope_points"]:
         assert y * y == pytest.approx(4.0 * (x + 1.0), abs=1e-9)
     assert len(payload["family"]) == 20
+
+
+def test_envelope_members_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["envelope", "minor-axis", "--b-axis", "2", "--x1", "1", "--members", "-1"])
+    assert exc.value.code == 2
 
 
 def test_envelope_energy(capsys):

@@ -9,6 +9,7 @@ import pytest
 from keplersym import expr as ex
 from keplersym.expr import (
     Const,
+    JetContext,
     DivisionByZeroError,
     MathDomainError,
     ParseError,
@@ -18,7 +19,6 @@ from keplersym.expr import (
     evaluate,
     free_vars,
     is_zero,
-    jet2,
     parse,
     to_str,
     total_derivative,
@@ -111,7 +111,7 @@ def test_eval_domain_errors_are_distinct():
 
 def test_total_derivative_order2_basics():
     f = parse("y^2 + p")
-    ctx = jet2(f)
+    ctx = JetContext(f, ("x", "y", "p"))
     assert total_derivative(parse("p"), ctx) == f
     assert to_str(total_derivative(parse("y"), ctx)) == "p"
     assert total_derivative(parse("x"), ctx) == ex.ONE
@@ -119,7 +119,7 @@ def test_total_derivative_order2_basics():
 
 def test_total_derivative_rejects_stray_rhs_variables():
     with pytest.raises(ValueError):
-        jet2(parse("y + z"))
+        JetContext(parse("y + z"), ("x", "y", "p"))
 
 
 def test_is_zero_trig_identity():
@@ -142,6 +142,11 @@ def test_is_zero_rejects_nonzero():
 def test_is_zero_requires_covered_box():
     with pytest.raises(ValueError):
         is_zero(parse("x + y"), {"x": (0.0, 1.0)})
+
+
+def test_is_zero_rejects_non_finite_values():
+    # x^3 overflows to inf, inf * 0 is NaN: the residual must not read as zero
+    assert not is_zero(parse("x*x*x*(y - y) + 1"), {"x": (1e200, 2e200), "y": (0, 1)})
 
 
 CORPUS = [

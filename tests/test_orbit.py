@@ -47,6 +47,9 @@ def test_from_abc_rejects_lines_and_zero():
         from_abc(1.0, 0.0, 0.0)
     with pytest.raises(OrbitError):
         from_abc(0.0, 0.0, 0.0)
+    for triple in ((math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, -math.inf)):
+        with pytest.raises(OrbitError):
+            from_abc(*triple)
 
 
 def test_conserved_circle():

@@ -10,6 +10,7 @@ from keplersym.orbit import PlanePoint, from_abc, membership_residual, sample
 from keplersym.symmetry import (
     J3,
     AlgebraElement,
+    FlowExitError,
     SymmetryError,
     act_dual,
     act_plane,
@@ -262,6 +263,13 @@ def test_flow_matches_exp_action():
     via_flow = flow(algebra(x7=1), p, t)
     via_exp = act_plane(exp_map(algebra(x7=1), t), p)
     assert (via_flow.x, via_flow.y) == pytest.approx((via_exp.x, via_exp.y), abs=1e-8)
+
+
+def test_flow_exit_reports_exit_time():
+    # x7 moves (1, 0) along x' = -x^2 backwards: x = 1 / (1 + t) escapes at t = -1
+    with pytest.raises(FlowExitError) as err:
+        flow(algebra(x7=1), PlanePoint(1, 0), -2.0)
+    assert err.value.t_exit == pytest.approx(-1.0, abs=5e-3)
 
 
 def test_one_parameter_subgroup():

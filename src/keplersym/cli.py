@@ -270,6 +270,9 @@ def cmd_map(args) -> int:
             out_rows.append(["", "", "", "non-numeric row"])
             continue
         x, y = float(row[-2]), float(row[-1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            out_rows.append(["", "", "", "non-finite row"])
+            continue
         try:
             if args.name == "square":
                 q = kmaps.square(PlanePoint(x, y))

@@ -3,7 +3,11 @@
 Covers exactly the node kinds needed for ODE right-hand sides and central
 force laws: rational/real constants, named variables, sums, products,
 quotients, powers with constant exponent, and the unary functions
-sin, cos, sqrt, ln.  Trees are immutable; every operation is pure.
+sin, cos, sqrt, ln.  An expression is a hash-consed DAG, evaluated from a
+compiled tape: nodes are interned at construction (weakly, so `==` is
+identity and a node dies with its last user) and carry their free
+variables, memoized derivatives and, once evaluated, a straight-line list
+of float instructions over their distinct subexpressions.
 
 Simplification is deliberately local (constant folding, dropping zero
 terms and unit factors); expression equality is decided by seeded
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -66,50 +71,120 @@ class MathDomainError(EvalError):
         self.value = value
 
 
-class PowerOverflowError(EvalError):
-    """A power left the range of a double."""
+class FloatOverflowError(EvalError):
+    """A constant, sum or power left the range of a double."""
 
 
 # --------------------------------------------------------------------------
 # Nodes
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
-    value: Number  # Fraction kept exact; float for decimals/irrationals
+_SET = object.__setattr__
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Node:
+    """Immutable interned node; equality is identity, the hash is cached."""
+
+    __slots__ = ("_kids", "_hash", "_fv", "_diffs", "_tape", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
-@dataclass(frozen=True)
-class Add:
-    terms: tuple["Expr", ...]
+def _number_key(v) -> tuple:
+    # keeps Fraction(1), 1.0 and -0.0 apart (and NaN equal to itself)
+    if type(v) is Fraction:
+        return (Fraction, v.numerator, v.denominator)
+    if isinstance(v, float):
+        return (type(v), v.hex())
+    return (type(v), v)
 
 
-@dataclass(frozen=True)
-class Mul:
-    factors: tuple["Expr", ...]
+def _intern(cls, payload, kids: tuple, values: tuple, fv: frozenset[str] = frozenset()):
+    key = (cls, payload, *map(id, kids))
+    node = _TABLE.get(key)
+    if node is not None:
+        return node
+    node = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        _SET(node, name, value)
+    for k in kids:
+        if not k._fv <= fv:
+            fv = fv | k._fv if fv else k._fv
+    _SET(node, "_kids", kids)
+    _SET(node, "_hash", hash((cls.__name__, payload, *[k._hash for k in kids])))
+    _SET(node, "_fv", fv)
+    _SET(node, "_diffs", None)
+    _SET(node, "_tape", None)
+    _TABLE[key] = node
+    return node
 
 
-@dataclass(frozen=True)
-class Div:
-    num: "Expr"
-    den: "Expr"
+class Const(_Node):
+    __slots__ = _fields = ("value",)  # Fraction kept exact; float for decimals/irrationals
+
+    def __new__(cls, value: Number):
+        return _intern(cls, _number_key(value), (), (value,))
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: Number  # constant exponent only; Fraction kept exact
+class Var(_Node):
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str):
+        return _intern(cls, name, (), (name,), frozenset((name,)))
 
 
-@dataclass(frozen=True)
-class Func:
-    name: str  # one of FUNCTIONS
-    arg: "Expr"
+class Add(_Node):
+    __slots__ = _fields = ("terms",)
+
+    def __new__(cls, terms: tuple["Expr", ...]):
+        terms = tuple(terms)
+        return _intern(cls, None, terms, (terms,))
+
+
+class Mul(_Node):
+    __slots__ = _fields = ("factors",)
+
+    def __new__(cls, factors: tuple["Expr", ...]):
+        factors = tuple(factors)
+        return _intern(cls, None, factors, (factors,))
+
+
+class Div(_Node):
+    __slots__ = _fields = ("num", "den")
+
+    def __new__(cls, num: "Expr", den: "Expr"):
+        return _intern(cls, None, (num, den), (num, den))
+
+
+class Pow(_Node):
+    __slots__ = _fields = ("base", "exponent")  # constant exponent only; Fraction kept exact
+
+    def __new__(cls, base: "Expr", exponent: Number):
+        return _intern(cls, _number_key(exponent), (base,), (base, exponent))
+
+
+class Func(_Node):
+    __slots__ = _fields = ("name", "arg")  # name is one of FUNCTIONS
+
+    def __new__(cls, name: str, arg: "Expr"):
+        if name not in FUNCTIONS:
+            raise ValueError(f"unknown function '{name}'")
+        return _intern(cls, name, (arg,), (name, arg))
 
 
 Expr = Union[Const, Var, Add, Mul, Div, Pow, Func]
@@ -138,20 +213,15 @@ def _is_const(e: Expr, v=None) -> bool:
 
 def add(*terms) -> Expr:
     """Sum with flattening, constant folding and zero dropping."""
-    flat: list[Expr] = []
+    out: list[Expr] = []
     acc: Number = Fraction(0)
     for t in terms:
-        t = t if not isinstance(t, (int, Fraction, float)) else const(t)
-        if isinstance(t, Add):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    out: list[Expr] = []
-    for t in flat:
-        if isinstance(t, Const):
-            acc = _num_add(acc, t.value)
-        else:
-            out.append(t)
+        t = t if isinstance(t, _Node) else const(t)
+        for u in t.terms if type(t) is Add else (t,):
+            if type(u) is Const:
+                acc = _num_add(acc, u.value)
+            else:
+                out.append(u)
     if acc != 0 or not out:
         out.append(Const(acc))
     if len(out) == 1:
@@ -161,20 +231,15 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     """Product with flattening, constant folding, 0*x -> 0 and x*1 -> x."""
-    flat: list[Expr] = []
+    out: list[Expr] = []
     acc: Number = Fraction(1)
     for f in factors:
-        f = f if not isinstance(f, (int, Fraction, float)) else const(f)
-        if isinstance(f, Mul):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    out: list[Expr] = []
-    for f in flat:
-        if isinstance(f, Const):
-            acc = _num_mul(acc, f.value)
-        else:
-            out.append(f)
+        f = f if isinstance(f, _Node) else const(f)
+        for g in f.factors if type(f) is Mul else (f,):
+            if type(g) is Const:
+                acc = _num_mul(acc, g.value)
+            else:
+                out.append(g)
     if acc == 0:
         return Const(acc)
     if not out:
@@ -187,8 +252,8 @@ def mul(*factors) -> Expr:
 
 
 def div(num, den) -> Expr:
-    num = num if not isinstance(num, (int, Fraction, float)) else const(num)
-    den = den if not isinstance(den, (int, Fraction, float)) else const(den)
+    num = num if isinstance(num, _Node) else const(num)
+    den = den if isinstance(den, _Node) else const(den)
     if isinstance(den, Const) and den.value != 0:
         if isinstance(num, Const):
             if isinstance(num.value, Fraction) and isinstance(den.value, Fraction):
@@ -208,7 +273,7 @@ def sub(a, b) -> Expr:
 
 
 def pow_(base, exponent) -> Expr:
-    base = base if not isinstance(base, (int, Fraction, float)) else const(base)
+    base = base if isinstance(base, _Node) else const(base)
     if isinstance(exponent, Const):
         exponent = exponent.value
     if isinstance(exponent, int):
@@ -231,8 +296,6 @@ def pow_(base, exponent) -> Expr:
 
 
 def func(name: str, arg: Expr) -> Expr:
-    if name not in FUNCTIONS:
-        raise ValueError(f"unknown function '{name}'")
     return Func(name, arg)
 
 
@@ -269,27 +332,7 @@ def _num_mul(a: Number, b: Number) -> Number:
 # --------------------------------------------------------------------------
 
 def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Add):
-        out: frozenset[str] = frozenset()
-        for t in e.terms:
-            out |= free_vars(t)
-        return out
-    if isinstance(e, Mul):
-        out = frozenset()
-        for f in e.factors:
-            out |= free_vars(f)
-        return out
-    if isinstance(e, Div):
-        return free_vars(e.num) | free_vars(e.den)
-    if isinstance(e, Pow):
-        return free_vars(e.base)
-    if isinstance(e, Func):
-        return free_vars(e.arg)
-    raise TypeError(f"not an expression: {e!r}")
+    return e._fv
 
 
 def subst(e: Expr, name: str, replacement: Expr) -> Expr:
@@ -316,11 +359,22 @@ def subst(e: Expr, name: str, replacement: Expr) -> Expr:
 # --------------------------------------------------------------------------
 
 def diff(e: Expr, v: str) -> Expr:
-    """Exact symbolic derivative of `e` with respect to variable `v`."""
+    """Exact symbolic derivative of `e` with respect to variable `v`, memoized on `e`."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == v else ZERO
+    memo = e._diffs
+    if memo is None:
+        memo = {}
+        _SET(e, "_diffs", memo)
+    d = memo.get(v)
+    if d is None:
+        d = memo[v] = _diff(e, v)
+    return d
+
+
+def _diff(e: Expr, v: str) -> Expr:
     if isinstance(e, Add):
         return add(*(diff(t, v) for t in e.terms))
     if isinstance(e, Mul):
@@ -364,99 +418,152 @@ def diff(e: Expr, v: str) -> Expr:
 # Evaluation
 # --------------------------------------------------------------------------
 
-class _Tracker:
-    """Records the largest intermediate magnitude seen during evaluation."""
-
-    __slots__ = ("max_abs",)
-
-    def __init__(self):
-        self.max_abs = 0.0
-
-    def note(self, x: float) -> float:
-        ax = abs(x)
-        if ax > self.max_abs:
-            self.max_abs = ax
-        return x
+# Tape opcodes.  An instruction is (opcode, output slot, a, b): a and b are
+# input slots, a tuple of them (sums and long products), a variable name, or
+# constants precomputed for a power or a function.
+_VAR, _ADD, _MUL, _MUL2, _DIV, _POW, _FUNC = range(7)
+# function name -> (function, test for an argument outside its domain)
+_FUNCS = {
+    "sin": (math.sin, math.isinf),
+    "cos": (math.cos, math.isinf),
+    "sqrt": (math.sqrt, lambda x: x < 0.0),
+    "ln": (math.log, lambda x: x <= 0.0),
+}
 
 
-def evaluate(e: Expr, bindings: Mapping[str, float], _tracker: _Tracker | None = None) -> float:
+def _tape(e: Expr) -> tuple[list, tuple]:
+    """(initial slot values, instructions) of `e`, compiled once and cached on `e`.
+
+    Each distinct node of the DAG gets one slot, in the order in which the
+    recursive left-to-right evaluation of the tree would first finish it, so
+    the first instruction to raise is the node at which that evaluation
+    would raise first.  Constants are converted to float here, so one
+    beyond the range of a double raises before any instruction runs.
+    """
+    if e._tape is not None:
+        return e._tape
+    slots: dict[int, int] = {}
+    init: list = []
+    code: list = []
+
+    def emit(node: Expr) -> None:
+        for k in node._kids:
+            if id(k) not in slots:
+                emit(k)
+        out = slots[id(node)] = len(init)
+        init.append(None)
+        kind = type(node)
+        if kind is Const:
+            init[out] = _float(node.value)
+        elif kind is Var:
+            code.append((_VAR, out, node.name, None))
+        elif kind is Add:
+            code.append((_ADD, out, tuple([slots[id(k)] for k in node.terms]), None))
+        elif kind is Mul:
+            ins = tuple([slots[id(k)] for k in node.factors])
+            code.append((_MUL2, out, *ins) if len(ins) == 2 else (_MUL, out, ins, None))
+        elif kind is Div:
+            code.append((_DIV, out, slots[id(node.num)], slots[id(node.den)]))
+        elif kind is Pow:
+            q = node.exponent
+            p = _float(q)
+            if isinstance(q, Fraction):
+                n = q.numerator if q.denominator == 1 else None
+            else:
+                n = int(p) if p.is_integer() else None
+            code.append((_POW, out, slots[id(node.base)], (p, n)))  # n: the exponent if integral
+        else:
+            code.append((_FUNC, out, slots[id(node.arg)], (node.name, *_FUNCS[node.name])))
+
+    emit(e)
+    tape = (init, tuple(code))
+    _SET(e, "_tape", tape)
+    return tape
+
+
+def _float(v: Number) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        raise FloatOverflowError(f"{v} overflows a double") from None
+
+
+def _run(tape: tuple[list, tuple], b: Mapping[str, float]) -> list[float]:
+    """All slot values of one evaluation; the last slot is the root's value."""
+    init, code = tape
+    vals = init[:]
+    get = vals.__getitem__
+    for op, out, x, y in code:
+        if op == _MUL2:
+            vals[out] = vals[x] * vals[y]
+        elif op == _ADD:
+            try:
+                vals[out] = math.fsum(map(get, x))
+            except OverflowError:
+                raise FloatOverflowError("sum overflows a double") from None
+            except ValueError:  # inf + -inf
+                raise MathDomainError("sum", math.inf) from None
+        elif op == _MUL:
+            v = 1.0
+            for i in x:
+                v *= vals[i]
+            vals[out] = v
+        elif op == _POW:
+            base = vals[x]
+            p, n = y
+            if base == 0.0:
+                if p < 0.0:
+                    raise DivisionByZeroError("zero base raised to a negative power")
+                vals[out] = 0.0 if p > 0.0 else 1.0
+                continue
+            sign = 1.0
+            if base < 0.0:
+                if n is None:
+                    raise MathDomainError("power", base)
+                sign = -1.0 if n % 2 else 1.0
+            try:
+                vals[out] = sign * abs(base) ** p
+            except OverflowError:
+                raise FloatOverflowError(f"{base!r}^{p!r} overflows a double") from None
+        elif op == _DIV:
+            den = vals[y]
+            if den == 0.0:
+                raise DivisionByZeroError()
+            vals[out] = vals[x] / den
+        elif op == _VAR:
+            if x not in b:
+                raise UnboundVariableError(x)
+            vals[out] = float(b[x])
+        else:  # _FUNC
+            name, fn, outside = y
+            if outside(vals[x]):
+                raise MathDomainError(name, vals[x])
+            vals[out] = fn(vals[x])
+    return vals
+
+
+def _peak(vals: list[float]) -> float:
+    """Largest magnitude among the values; NaNs are skipped, 0.0 if there is none."""
+    peak = max(map(abs, vals))
+    if peak != peak:  # max() keeps a leading NaN
+        peak = max((v for v in map(abs, vals) if v == v), default=0.0)
+    return peak
+
+
+def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """Evaluate to an IEEE double.  All free variables must be bound.
 
-    Reports unbound variables, division by zero, and sqrt/ln (or fractional
-    power) of negative arguments through distinct error types.
+    Reports unbound variables, division by zero, sqrt/ln (or fractional
+    power) of negative arguments, sin/cos of infinities and overflow of a
+    double through distinct error types.
     """
-    t = _tracker if _tracker is not None else _Tracker()
-    return _eval(e, bindings, t)
+    return _run(_tape(e), bindings)[-1]
 
 
 def evaluate_tracked(e: Expr, bindings: Mapping[str, float]) -> tuple[float, float]:
     """Like `evaluate`, also returning the largest intermediate magnitude."""
-    t = _Tracker()
-    v = _eval(e, bindings, t)
-    return v, t.max_abs
-
-
-def _eval(e: Expr, b: Mapping[str, float], t: _Tracker) -> float:
-    if isinstance(e, Const):
-        return t.note(float(e.value))
-    if isinstance(e, Var):
-        if e.name not in b:
-            raise UnboundVariableError(e.name)
-        return t.note(float(b[e.name]))
-    if isinstance(e, Add):
-        return t.note(math.fsum(_eval(x, b, t) for x in e.terms))
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval(f, b, t)
-        return t.note(out)
-    if isinstance(e, Div):
-        num = _eval(e.num, b, t)
-        den = _eval(e.den, b, t)
-        if den == 0.0:
-            raise DivisionByZeroError()
-        return t.note(num / den)
-    if isinstance(e, Pow):
-        base = _eval(e.base, b, t)
-        return t.note(_pow_value(base, e.exponent))
-    if isinstance(e, Func):
-        x = _eval(e.arg, b, t)
-        if e.name == "sin":
-            return t.note(math.sin(x))
-        if e.name == "cos":
-            return t.note(math.cos(x))
-        if e.name == "sqrt":
-            if x < 0.0:
-                raise MathDomainError("sqrt", x)
-            return t.note(math.sqrt(x))
-        if e.name == "ln":
-            if x <= 0.0:
-                raise MathDomainError("ln", x)
-            return t.note(math.log(x))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _pow_value(base: float, exponent: Number) -> float:
-    integral = (
-        exponent.denominator == 1
-        if isinstance(exponent, Fraction)
-        else float(exponent).is_integer()
-    )
-    p = float(exponent)
-    if base == 0.0:
-        if p < 0.0:
-            raise DivisionByZeroError("zero base raised to a negative power")
-        return 0.0 if p > 0.0 else 1.0
-    sign = 1.0
-    if base < 0.0:
-        if not integral:
-            raise MathDomainError("power", base)
-        n = int(exponent) if isinstance(exponent, Fraction) else int(p)
-        sign = -1.0 if n % 2 else 1.0
-    try:
-        return sign * abs(base) ** p
-    except OverflowError as err:
-        raise PowerOverflowError(f"{base!r}^{p!r} overflows a double") from err
+    vals = _run(_tape(e), bindings)
+    return vals[-1], _peak(vals)
 
 
 # --------------------------------------------------------------------------
@@ -526,12 +633,14 @@ def max_residual(
     missing = free_vars(e) - set(box)
     if missing:
         raise ValueError(f"box does not cover free variables: {sorted(missing)}")
+    tape = _tape(e)
     rng = random.Random(seed)
     names = sorted(box)
     worst = 0.0
     for _ in range(max(1, trials)):
         point = {n: rng.uniform(*box[n]) for n in names}
-        value, peak = evaluate_tracked(e, point)
+        vals = _run(tape, point)
+        value, peak = vals[-1], _peak(vals)
         if not (math.isfinite(value) and math.isfinite(peak)):
             return math.inf
         scaled = abs(value) / (1.0 + peak)

@@ -108,6 +108,11 @@ def _result(name: str, residual: float, tol: float, detail: str = "") -> CaseRes
     return CaseResult(name, status, float(residual), tol, detail)
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, a NaN counting as infinite (`max` would drop it)."""
+    return max(math.inf if r != r else r for r in residuals)
+
+
 def _random_orbit(rng, c_range=(0.5, 2.0), e_range=(0.0, 1.6)) -> KeplerOrbit:
     c = rng.uniform(*c_range)
     ecc = rng.uniform(*e_range)
@@ -157,7 +162,7 @@ def case_vf_plane_closed_forms(seed: int, tol: float) -> CaseResult:
             got = vf_plane(gen, p).velocity()
             want = field(x, y, p.r)
             err = math.hypot(got[0] - want[0], got[1] - want[1]) / (1.0 + math.hypot(*want))
-            worst = max(worst, err)
+            worst = _worst(worst, err)
     return _result("vf_plane_closed_forms", worst, 1e-12)
 
 
@@ -171,8 +176,8 @@ def case_vf_dual_closed_forms(seed: int, tol: float) -> CaseResult:
         for gen, field in zip(gens, _DUAL_FIELDS):
             got = vf_dual(gen, v).as_tuple()
             want = field(a, b, c)
-            err = max(abs(g - w) for g, w in zip(got, want)) / (1.0 + max(map(abs, want)))
-            worst = max(worst, err)
+            err = _worst(*(abs(g - w) for g, w in zip(got, want))) / (1.0 + max(map(abs, want)))
+            worst = _worst(worst, err)
     return _result("vf_dual_closed_forms", worst, 1e-12)
 
 
@@ -192,7 +197,7 @@ def case_commuting_square(seed: int, tol: float) -> CaseResult:
             except SymmetryError:
                 chart_exits += 1
                 continue
-            worst = max(worst, membership_residual(image, q.x, q.y))
+            worst = _worst(worst, membership_residual(image, q.x, q.y))
         checked += 1
     return _result("commuting_square", worst, tol, detail=f"chart_exits={chart_exits}")
 
@@ -206,7 +211,7 @@ def case_bracket_closure(seed: int, tol: float) -> CaseResult:
             br = bracket(gens[i], gens[j])
             stack = np.vstack(flat + [br.matrix.ravel()])
             s = np.linalg.svd(stack, compute_uv=False)
-            worst = max(worst, s[7] / s[6])  # singular-value gap >= 1e6
+            worst = _worst(worst, s[7] / s[6])  # singular-value gap >= 1e6
     return _result("bracket_closure", worst, 1e-6)
 
 
@@ -218,7 +223,7 @@ def case_one_param_subgroup(seed: int, tol: float) -> CaseResult:
         t1, t2 = rng.uniform(-0.6, 0.6, size=2)
         g = compose(exp_map(x, float(t1)), exp_map(x, float(t2)))
         h = exp_map(x, float(t1 + t2))
-        worst = max(worst, float(np.max(np.abs(g.matrix - h.matrix))))
+        worst = _worst(worst, float(np.max(np.abs(g.matrix - h.matrix))))
     return _result("one_param_subgroup", worst, 1e-11)
 
 
@@ -233,7 +238,7 @@ def case_fixed_energy_quadric(seed: int, tol: float) -> CaseResult:
                 c = k + math.sqrt(energy * energy + a * a + b * b)
                 v = flow_dual(gen, MinkVec(float(a), float(b), float(c)), 0.8)
                 q = v.a**2 + v.b**2 - (v.c - k) ** 2
-                worst = max(worst, abs(q + energy * energy))
+                worst = _worst(worst, abs(q + energy * energy))
     return _result("fixed_energy_quadric", worst, 1e-9)
 
 
@@ -251,7 +256,7 @@ def case_dual_curve_agreement(seed: int, tol: float) -> CaseResult:
         lo, hi = curve.domain
         for t in np.linspace(lo + 1e-3, hi - 1e-3, 20):
             a, b = th.dual_point_of_tangent(curve, float(t))
-            worst = max(worst, abs(math.hypot(a - circle.cx, b - circle.cy) - circle.radius))
+            worst = _worst(worst, abs(math.hypot(a - circle.cx, b - circle.cy) - circle.radius))
     return _result("dual_curve_agreement", worst, tol)
 
 
@@ -310,7 +315,7 @@ def case_fixed_e_i2_closed_form(seed: int, tol: float) -> CaseResult:
         )
         gap = ex.sub(inv.i2(ode), closed)
         for box in inv.kepler_fixed_e_boxes(float(energy)):
-            worst = max(worst, ex.max_residual(gap, box, seed=seed))
+            worst = _worst(worst, ex.max_residual(gap, box, seed=seed))
     return _result("fixed_e_i2_closed_form", worst, 1e-10)
 
 
@@ -318,7 +323,7 @@ def case_fixed_e_i1_zero(seed: int, tol: float) -> CaseResult:
     worst = 0.0
     for energy in (-1.0, 0.5, 2.0):
         ode = _kepler_fixed_e(energy)
-        worst = max(worst, ex.max_residual(inv.i1(ode), ode.box, seed=seed))
+        worst = _worst(worst, ex.max_residual(inv.i1(ode), ode.box, seed=seed))
     return _result("fixed_e_i1_zero", worst, ex.ZERO_TEST_THRESHOLD)
 
 
@@ -326,7 +331,7 @@ def case_fixed_m_flat(seed: int, tol: float) -> CaseResult:
     worst = 0.0
     for m in (0.5, 1.0, 2.0):
         ode = inv.fixed_m_ode(inv.kepler_force(), m)
-        worst = max(worst, inv.flatness_residual(ode, seed=seed))
+        worst = _worst(worst, inv.flatness_residual(ode, seed=seed))
     return _result("fixed_m_flat", worst, ex.ZERO_TEST_THRESHOLD)
 
 
@@ -337,7 +342,7 @@ def case_fixed_e_elimination_gate(seed: int, tol: float) -> CaseResult:
         ode = _kepler_fixed_e(float(energy))
         gap = ex.sub(ode.rhs, ex.parse(text))
         for box in inv.kepler_fixed_e_boxes(float(energy)):
-            worst = max(worst, ex.max_residual(gap, box, seed=seed))
+            worst = _worst(worst, ex.max_residual(gap, box, seed=seed))
     return _result("fixed_e_elimination_gate", worst, 1e-12)
 
 
@@ -398,7 +403,7 @@ def case_lambert_random(seed: int, tol: float) -> CaseResult:
         u1, u2 = rng.uniform(-math.pi, math.pi, size=2)
         sides = th.lambert_check(o, float(u1), float(u2))
         b_sq = 4.0 / (o.c**2 - o.a**2 - o.b**2)
-        worst = max(worst, abs(sides.lhs - sides.rhs) / (1.0 + b_sq))
+        worst = _worst(worst, abs(sides.lhs - sides.rhs) / (1.0 + b_sq))
     return _result("lambert_random", worst, 1e-10)
 
 
@@ -430,7 +435,7 @@ def case_four_vertices_fig12(seed: int, tol: float) -> CaseResult:
     if len(verts) != 4:
         return CaseResult("four_vertices_fig12", "fail", float(len(verts)), 1e-6,
                           detail=f"expected 4 vertices, got {len(verts)}")
-    worst = max(abs(g - w) for g, w in zip(sorted(verts), expected))
+    worst = _worst(*(abs(g - w) for g, w in zip(sorted(verts), expected)))
     return _result("four_vertices_fig12", worst, 1e-6)
 
 
@@ -449,7 +454,7 @@ def _envelope_case(name: str, env: KeplerOrbit, members) -> CaseResult:
         if not report.even_contact:
             return CaseResult(name, "fail", report.residual, 1e-7,
                               detail="odd-multiplicity contact")
-        worst = max(worst, report.residual)
+        worst = _worst(worst, report.residual)
     return _result(name, worst, 1e-7)
 
 
@@ -476,14 +481,14 @@ def case_envelope_hooke(seed: int, tol: float) -> CaseResult:
     members = th.hooke_family(math.pi, np.linspace(-1.0, 1.0, 20))
     for curve in members:
         ys = [curve.point(t)[1] for t in np.linspace(0, 2 * math.pi, 2001)]
-        worst = max(worst, abs(max(ys) - env.half_gap), abs(min(ys) + env.half_gap))
+        worst = _worst(worst, abs(max(ys) - env.half_gap), abs(min(ys) + env.half_gap))
     kepler_env = th.envelope_minor_axis(2.0, 1.0)
     for curve in members[::4]:
         pts = [kmaps.square(PlanePoint(*curve.point(t)))
                for t in np.linspace(0.1, 0.1 + 2 * math.pi, 24, endpoint=False)]
         res = fit(pts)
         report = th.tangency_report(res.orbit, kepler_env)
-        worst = max(worst, report.residual)
+        worst = _worst(worst, report.residual)
     return _result("envelope_hooke", worst, 1e-6)
 
 
@@ -494,9 +499,9 @@ def _newton_residuals() -> tuple[float, float]:
     for triple in ((0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (2.0, 0.0, 1.0)):
         o = from_abc(*triple)
         traj = newton_flow(o)
-        membership = max(membership, float(np.max(traj.membership_residuals(o))))
-        conservation = max(conservation, float(np.max(np.abs(traj.energies() - o.energy))),
-                           float(np.max(np.abs(np.abs(traj.ang_momenta()) - o.ang_momentum))))
+        membership = _worst(membership, float(np.max(traj.membership_residuals(o))))
+        conservation = _worst(conservation, float(np.max(np.abs(traj.energies() - o.energy))),
+                              float(np.max(np.abs(np.abs(traj.ang_momenta()) - o.ang_momentum))))
     return membership, conservation
 
 
@@ -510,11 +515,11 @@ def case_newton_conservation(seed: int, tol: float) -> CaseResult:
 
 def case_curved_quadric(seed: int, tol: float) -> CaseResult:
     worst = th.curved_quadric_residual(MinkVec(0, 0, 1), -0.5, 0.0)
-    worst = max(worst, th.curved_quadric_residual(MinkVec(math.sqrt(3.0), 0, -1), 1.0, 0.0))
+    worst = _worst(worst, th.curved_quadric_residual(MinkVec(math.sqrt(3.0), 0, -1), 1.0, 0.0))
     b_axis = 2.0
     for member in th.minor_axis_family(b_axis, 1.0, np.linspace(-1, 1, 9)):
         v = MinkVec(member.a, member.b, member.c)
-        worst = max(worst, th.curved_quadric_residual(v, 0.0, 4.0 / b_axis**2))
+        worst = _worst(worst, th.curved_quadric_residual(v, 0.0, 4.0 / b_axis**2))
     return _result("curved_quadric", worst, 1e-9)
 
 
@@ -535,7 +540,7 @@ def case_square_lines_flat(seed: int, tol: float) -> CaseResult:
         res = fit(pts)
         if res.kind != "orbit":
             return CaseResult("square_lines_flat", "fail", 1.0, 1e-6, detail="fit degenerated")
-        worst = max(worst, abs(res.orbit.eccentricity - 1.0))
+        worst = _worst(worst, abs(res.orbit.eccentricity - 1.0))
     return _result("square_lines_flat", worst, 1e-6)
 
 
@@ -555,9 +560,9 @@ def case_flatten_m_collinear(seed: int, tol: float) -> CaseResult:
             if res.kind != "line":
                 return CaseResult("flatten_m_collinear", "fail", 1.0, 1e-10,
                                   detail="image not flagged as line")
-            worst = max(worst, res.residual)
+            worst = _worst(worst, res.residual)
             want = kmaps.flatten_m_dual(o.dual(), m)
-            dual_worst = max(dual_worst, abs(res.line[0] - want.a), abs(res.line[1] - want.b))
+            dual_worst = _worst(dual_worst, abs(res.line[0] - want.a), abs(res.line[1] - want.b))
     if dual_worst > 1e-9:
         return CaseResult("flatten_m_collinear", "fail", dual_worst, 1e-9,
                           detail="dual prediction mismatch")
@@ -583,8 +588,8 @@ def case_hill_embedding(seed: int, tol: float) -> CaseResult:
         if res.kind != "orbit":
             return CaseResult("hill_embedding", "fail", 1.0, 1e-8, detail="fit degenerated")
         want = kmaps.hill_dual(o, 1.0)
-        worst = max(worst, abs(res.orbit.energy - (-1.0)))
-        worst = max(
+        worst = _worst(worst, abs(res.orbit.energy - (-1.0)))
+        worst = _worst(
             worst,
             abs(res.orbit.a - want.a),
             abs(res.orbit.b - want.b),
@@ -614,7 +619,7 @@ def case_parabola_chart_law(seed: int, tol: float) -> CaseResult:
             if abs(by) < 1e-3:
                 continue
             q = kmaps.parabola_chart(float(bx), float(by))
-            worst = max(worst, membership_residual(dual, q.x, q.y))
+            worst = _worst(worst, membership_residual(dual, q.x, q.y))
         done += 1
     return _result("parabola_chart_law", worst, 1e-10)
 

@@ -226,3 +226,28 @@ def test_envelope_hooke(capsys):
         ys = [p[1] for p in member["points"]]
         assert max(ys) <= 1.0 + 1e-9
         assert min(ys) >= -1.0 - 1e-9
+
+
+@pytest.mark.parametrize("f,at", [
+    ("p*p*p*p + p*p*p*p", "x=0,y=0,p=1e77"),  # the sum overflows a double
+    ("sin(p*p*p)", "x=0,y=0,p=1e200"),  # sin of an infinite argument
+])
+def test_ode_invariants_float_errors_are_domain_errors(capsys, f, at):
+    code, out, err = run(capsys, "ode", "invariants", "--f", f, "--at", at)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def test_map_flags_non_finite_rows(tmp_path, capsys):
+    src = tmp_path / "pts.csv"
+    src.write_text("theta,x,y\n0,nan,1\n0,1,inf\n0,-inf,0\n0,1,0\n")
+    dst = tmp_path / "sq.csv"
+    code, _, _ = run(capsys, "map", "square", "--points", str(src), "--out", str(dst))
+    assert code == 0
+    with open(dst) as fh:
+        rows = list(csv.reader(fh))
+    assert [r[3] for r in rows[1:]] == ["non-finite row"] * 3 + [""]
+    assert [r[:3] for r in rows[1:4]] == [["", "", ""]] * 3
+    assert (float(rows[4][1]), float(rows[4][2])) == (1.0, 0.0)

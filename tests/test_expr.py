@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+import gc
 import math
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keplersym import expr as ex
 from keplersym.expr import (
+    Add,
     Const,
+    Div,
+    Func,
+    Mul,
+    Pow,
+    Var,
     JetContext,
     DivisionByZeroError,
     MathDomainError,
@@ -214,3 +225,219 @@ def test_math_helpers_track_intermediates():
     v, peak = ex.evaluate_tracked(parse("1000*x - 1000*x + 1"), {"x": 1.0})
     assert v == 1.0
     assert peak >= 1000.0
+
+
+# --------------------------------------------------------------------------
+# Hash-consed DAG and compiled tape
+# --------------------------------------------------------------------------
+
+
+def _reference(e, b):
+    """Reference evaluator: a plain recursive walk of the expression tree.
+
+    Every occurrence of a shared node is evaluated again.  Returns (value,
+    peak), where the peak is the largest magnitude of any node's value (a
+    NaN never raises it).  Errors are raised where the walk meets them,
+    with the engine's error types.
+    """
+    peak = [0.0]
+
+    def note(x):
+        if abs(x) > peak[0]:
+            peak[0] = abs(x)
+        return x
+
+    def walk(n):
+        if isinstance(n, ex.Const):
+            try:
+                return note(float(n.value))
+            except OverflowError:
+                raise ex.FloatOverflowError("constant") from None
+        if isinstance(n, Var):
+            if n.name not in b:
+                raise UnboundVariableError(n.name)
+            return note(float(b[n.name]))
+        if isinstance(n, Add):
+            values = [walk(t) for t in n.terms]
+            try:
+                return note(math.fsum(values))
+            except OverflowError:
+                raise ex.FloatOverflowError("sum") from None
+            except ValueError:
+                raise MathDomainError("sum", math.inf) from None
+        if isinstance(n, Mul):
+            out = 1.0
+            for f in n.factors:
+                out *= walk(f)
+            return note(out)
+        if isinstance(n, Div):
+            num, den = walk(n.num), walk(n.den)
+            if den == 0.0:
+                raise DivisionByZeroError()
+            return note(num / den)
+        if isinstance(n, Pow):
+            base, p = walk(n.base), float(n.exponent)
+            if base == 0.0:
+                if p < 0.0:
+                    raise DivisionByZeroError()
+                return note(0.0 if p > 0.0 else 1.0)
+            sign = 1.0
+            if base < 0.0:
+                if not p.is_integer():
+                    raise MathDomainError("power", base)
+                sign = -1.0 if int(p) % 2 else 1.0
+            try:
+                return note(sign * abs(base) ** p)
+            except OverflowError:
+                raise ex.FloatOverflowError("power") from None
+        x = walk(n.arg)
+        if n.name in ("sin", "cos"):
+            if math.isinf(x):
+                raise MathDomainError(n.name, x)
+            return note(math.sin(x) if n.name == "sin" else math.cos(x))
+        if n.name == "sqrt":
+            if x < 0.0:
+                raise MathDomainError("sqrt", x)
+            return note(math.sqrt(x))
+        if x <= 0.0:
+            raise MathDomainError("ln", x)
+        return note(math.log(x))
+
+    v = walk(e)
+    return v, peak[0]
+
+
+_NUMBERS = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e-300, 1e155, -1e155, 1e308, math.inf, math.nan]),
+)
+_EXPONENTS = st.sampled_from([Fraction(2), Fraction(3), Fraction(-1), Fraction(-2), Fraction(1, 2),
+                              Fraction(-3, 2), 0.5, 2.0, 3.0, -1.5, 1e3, 0.0])
+_LEAVES = st.one_of(_NUMBERS.map(ex.Const), st.sampled_from(["x", "y", "z"]).map(Var))
+
+
+def _extend(children):
+    return st.one_of(
+        st.lists(children, min_size=1, max_size=4).map(lambda ts: Add(tuple(ts))),
+        st.lists(children, min_size=0, max_size=4).map(lambda fs: Mul(tuple(fs))),
+        st.tuples(children, children).map(lambda nd: Div(*nd)),
+        st.tuples(children, _EXPONENTS).map(lambda be: Pow(*be)),
+        st.tuples(st.sampled_from(ex.FUNCTIONS), children).map(lambda fa: Func(*fa)),
+        # shared subexpressions, through the simplifying builders too
+        children.map(lambda c: Add((c, Mul((c, c)), c))),
+        st.tuples(children, children).map(lambda ab: ex.sub(ex.mul(ab[0], ab[1]), ex.div(ab[1], ab[0]))),
+    )
+
+
+_EXPRS = st.recursive(_LEAVES, _extend, max_leaves=24)
+_COORDS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -1.0, 1e160, -1e160, 1e-160]))
+_POINTS = st.fixed_dictionaries({"x": _COORDS, "y": _COORDS}, optional={"z": _COORDS})
+
+
+def _same_float(a: float, b: float) -> bool:
+    return (a != a and b != b) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ex.EvalError as err:
+        return type(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_EXPRS, _POINTS)
+def test_tape_matches_recursive_reference(e, point):
+    want = _outcome(_reference, e, point)
+    got = _outcome(ex.evaluate_tracked, e, point)
+    if isinstance(want, type):
+        assert got is want, (e, point)
+        assert _outcome(evaluate, e, point) is want
+        return
+    assert not isinstance(got, type), (e, point, got)
+    assert _same_float(got[0], want[0]) and _same_float(got[1], want[1]), (e, point, got, want)
+    assert _same_float(evaluate(e, point), want[0])
+
+
+def test_identical_constructions_are_one_object():
+    x, y = Var("x"), Var("y")
+    assert Var("x") is x
+    assert Add((Mul((x, y)), Pow(x, 2))) is Add((Mul((x, y)), Pow(x, 2)))
+    assert Func("sin", x) is ex.sin(x)
+    assert parse("(x*p - y)^3 + sin(x)/2") is parse("(x*p - y)^3 + sin(x)/2")
+    assert Const(Fraction(1)) is ex.ONE
+
+
+def test_constants_keep_their_kind_and_sign():
+    kinds = [Const(Fraction(1)), Const(1.0), Const(0.0), Const(-0.0), Const(Fraction(0))]
+    assert len({id(c) for c in kinds}) == len(kinds)
+    assert Const(1.0) != Const(Fraction(1))
+    assert math.copysign(1.0, Const(-0.0).value) == -1.0
+    assert Const(math.nan) is Const(math.nan)
+    assert Pow(Var("x"), 2) is not Pow(Var("x"), Fraction(2))
+
+
+def test_nodes_are_immutable_and_copy_to_themselves():
+    e = parse("x^2 + sin(y)")
+    with pytest.raises(AttributeError):
+        e.terms = ()
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert repr(Const(Fraction(1, 2))) == "Const(value=Fraction(1, 2))"
+
+
+def test_diff_of_a_shared_subtree_is_computed_once(monkeypatch):
+    s = parse("sin(x)*x^2")
+    d = diff(s, "x")
+    calls = []
+    real = ex._diff
+    monkeypatch.setattr(ex, "_diff", lambda e, v: calls.append(e) or real(e, v))
+    assert diff(s, "x") is d
+    assert calls == []
+    big = ex.add(ex.sin(s), ex.div(s, ex.add(s, 1)))
+    diff(big, "x")
+    assert calls and s not in calls  # the shared subtree is reused, not re-derived
+    assert diff(s, "x") is d
+
+
+def test_free_vars_are_stored_on_the_node():
+    e = parse("x*y + z")
+    assert free_vars(e) is free_vars(e)
+    assert free_vars(e) == {"x", "y", "z"}
+
+
+def test_unreferenced_nodes_are_collected():
+    e = ex.add(ex.mul(Var("q_dead"), Const(Fraction(12345))), ex.sqrt(Var("q_dead")))
+    diff(e, "q_dead")  # memos may form cycles back to e
+    evaluate(e, {"q_dead": 2.0})  # and a cached tape
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert ref() is None
+    assert (Var, "q_dead") not in ex._TABLE
+
+
+def test_tape_reports_errors_in_tree_order():
+    with pytest.raises(DivisionByZeroError):
+        evaluate(parse("1/x + ln(y)"), {"x": 0.0, "y": -1.0})
+    with pytest.raises(MathDomainError):
+        evaluate(parse("ln(y) + 1/x"), {"x": 0.0, "y": -1.0})
+    with pytest.raises(UnboundVariableError):
+        evaluate(parse("z * sqrt(x)"), {"x": -1.0})
+
+
+def test_sum_overflow_is_a_typed_error():
+    with pytest.raises(ex.FloatOverflowError):
+        evaluate(parse("p*p*p*p + p*p*p*p"), {"p": 1e77})
+    assert issubclass(ex.FloatOverflowError, ex.EvalError)
+    with pytest.raises(MathDomainError):
+        evaluate(parse("x*x - x*x*x"), {"x": 1e200})  # inf + -inf
+    with pytest.raises(ex.FloatOverflowError):
+        evaluate(parse("10^400 + x"), {"x": 1.0})
+
+
+@pytest.mark.parametrize("name", ["sin", "cos"])
+@pytest.mark.parametrize("big", [1e200, -1e200])
+def test_trig_of_infinity_is_a_domain_error(name, big):
+    with pytest.raises(MathDomainError) as err:
+        evaluate(parse(f"{name}(p*p*p)"), {"p": big})
+    assert err.value.function == name

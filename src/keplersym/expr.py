@@ -3,11 +3,10 @@
 Covers exactly the node kinds needed for ODE right-hand sides and central
 force laws: rational/real constants, named variables, sums, products,
 quotients, powers with constant exponent, and the unary functions
-sin, cos, sqrt, ln.  An expression is a hash-consed DAG, evaluated from a
-compiled tape: nodes are interned at construction (weakly, so `==` is
-identity and a node dies with its last user) and carry their free
-variables, memoized derivatives and, once evaluated, a straight-line list
-of float instructions over their distinct subexpressions.
+sin, cos, sqrt, ln.  An expression is a hash-consed DAG: nodes are
+interned at construction (weakly, so `==` is identity and a node dies
+with its last user) and carry their free variables and memoized
+derivatives; an evaluation computes each distinct subexpression once.
 
 Simplification is deliberately local (constant folding, dropping zero
 terms and unit factors); expression equality is decided by seeded
@@ -84,18 +83,15 @@ _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class _Node:
-    """Immutable interned node; equality is identity, the hash is cached."""
+    """Immutable interned node; equality and the hash are by identity."""
 
-    __slots__ = ("_kids", "_hash", "_fv", "_diffs", "_tape", "__weakref__")
+    __slots__ = ("_fv", "_diffs", "__weakref__")
     _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     __delattr__ = __setattr__
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -125,11 +121,8 @@ def _intern(cls, payload, kids: tuple, values: tuple, fv: frozenset[str] = froze
     for k in kids:
         if not k._fv <= fv:
             fv = fv | k._fv if fv else k._fv
-    _SET(node, "_kids", kids)
-    _SET(node, "_hash", hash((cls.__name__, payload, *[k._hash for k in kids])))
     _SET(node, "_fv", fv)
     _SET(node, "_diffs", None)
-    _SET(node, "_tape", None)
     _TABLE[key] = node
     return node
 
@@ -418,10 +411,6 @@ def _diff(e: Expr, v: str) -> Expr:
 # Evaluation
 # --------------------------------------------------------------------------
 
-# Tape opcodes.  An instruction is (opcode, output slot, a, b): a and b are
-# input slots, a tuple of them (sums and long products), a variable name, or
-# constants precomputed for a power or a function.
-_VAR, _ADD, _MUL, _MUL2, _DIV, _POW, _FUNC = range(7)
 # function name -> (function, test for an argument outside its domain)
 _FUNCS = {
     "sin": (math.sin, math.isinf),
@@ -431,54 +420,51 @@ _FUNCS = {
 }
 
 
-def _tape(e: Expr) -> tuple[list, tuple]:
-    """(initial slot values, instructions) of `e`, compiled once and cached on `e`.
+def _eval(e: Expr, b: Mapping[str, float], seen: dict) -> float:
+    """Value of `e`; `seen` maps every node evaluated so far in this call to its value.
 
-    Each distinct node of the DAG gets one slot, in the order in which the
-    recursive left-to-right evaluation of the tree would first finish it, so
-    the first instruction to raise is the node at which that evaluation
-    would raise first.  Constants are converted to float here, so one
-    beyond the range of a double raises before any instruction runs.
+    Each distinct node of the DAG is evaluated once, children left to right,
+    so the first error raised is the one the walk of the whole tree would
+    raise first.
     """
-    if e._tape is not None:
-        return e._tape
-    slots: dict[int, int] = {}
-    init: list = []
-    code: list = []
-
-    def emit(node: Expr) -> None:
-        for k in node._kids:
-            if id(k) not in slots:
-                emit(k)
-        out = slots[id(node)] = len(init)
-        init.append(None)
-        kind = type(node)
-        if kind is Const:
-            init[out] = _float(node.value)
-        elif kind is Var:
-            code.append((_VAR, out, node.name, None))
-        elif kind is Add:
-            code.append((_ADD, out, tuple([slots[id(k)] for k in node.terms]), None))
-        elif kind is Mul:
-            ins = tuple([slots[id(k)] for k in node.factors])
-            code.append((_MUL2, out, *ins) if len(ins) == 2 else (_MUL, out, ins, None))
-        elif kind is Div:
-            code.append((_DIV, out, slots[id(node.num)], slots[id(node.den)]))
-        elif kind is Pow:
-            q = node.exponent
-            p = _float(q)
-            if isinstance(q, Fraction):
-                n = q.numerator if q.denominator == 1 else None
-            else:
-                n = int(p) if p.is_integer() else None
-            code.append((_POW, out, slots[id(node.base)], (p, n)))  # n: the exponent if integral
-        else:
-            code.append((_FUNC, out, slots[id(node.arg)], (node.name, *_FUNCS[node.name])))
-
-    emit(e)
-    tape = (init, tuple(code))
-    _SET(e, "_tape", tape)
-    return tape
+    v = seen.get(e)
+    if v is not None:
+        return v
+    kind = type(e)
+    if kind is Const:
+        v = _float(e.value)
+    elif kind is Var:
+        if e.name not in b:
+            raise UnboundVariableError(e.name)
+        v = float(b[e.name])
+    elif kind is Add:
+        terms = [_eval(t, b, seen) for t in e.terms]
+        try:
+            v = math.fsum(terms)
+        except OverflowError:
+            raise FloatOverflowError("sum overflows a double") from None
+        except ValueError:  # inf + -inf
+            raise MathDomainError("sum", math.inf) from None
+    elif kind is Mul:
+        v = 1.0
+        for f in e.factors:
+            v *= _eval(f, b, seen)
+    elif kind is Div:
+        num = _eval(e.num, b, seen)
+        den = _eval(e.den, b, seen)
+        if den == 0.0:
+            raise DivisionByZeroError()
+        v = num / den
+    elif kind is Pow:
+        v = _pow_value(_eval(e.base, b, seen), e.exponent)
+    else:
+        x = _eval(e.arg, b, seen)
+        fn, outside = _FUNCS[e.name]
+        if outside(x):
+            raise MathDomainError(e.name, x)
+        v = fn(x)
+    seen[e] = v
+    return v
 
 
 def _float(v: Number) -> float:
@@ -488,66 +474,30 @@ def _float(v: Number) -> float:
         raise FloatOverflowError(f"{v} overflows a double") from None
 
 
-def _run(tape: tuple[list, tuple], b: Mapping[str, float]) -> list[float]:
-    """All slot values of one evaluation; the last slot is the root's value."""
-    init, code = tape
-    vals = init[:]
-    get = vals.__getitem__
-    for op, out, x, y in code:
-        if op == _MUL2:
-            vals[out] = vals[x] * vals[y]
-        elif op == _ADD:
-            try:
-                vals[out] = math.fsum(map(get, x))
-            except OverflowError:
-                raise FloatOverflowError("sum overflows a double") from None
-            except ValueError:  # inf + -inf
-                raise MathDomainError("sum", math.inf) from None
-        elif op == _MUL:
-            v = 1.0
-            for i in x:
-                v *= vals[i]
-            vals[out] = v
-        elif op == _POW:
-            base = vals[x]
-            p, n = y
-            if base == 0.0:
-                if p < 0.0:
-                    raise DivisionByZeroError("zero base raised to a negative power")
-                vals[out] = 0.0 if p > 0.0 else 1.0
-                continue
-            sign = 1.0
-            if base < 0.0:
-                if n is None:
-                    raise MathDomainError("power", base)
-                sign = -1.0 if n % 2 else 1.0
-            try:
-                vals[out] = sign * abs(base) ** p
-            except OverflowError:
-                raise FloatOverflowError(f"{base!r}^{p!r} overflows a double") from None
-        elif op == _DIV:
-            den = vals[y]
-            if den == 0.0:
-                raise DivisionByZeroError()
-            vals[out] = vals[x] / den
-        elif op == _VAR:
-            if x not in b:
-                raise UnboundVariableError(x)
-            vals[out] = float(b[x])
-        else:  # _FUNC
-            name, fn, outside = y
-            if outside(vals[x]):
-                raise MathDomainError(name, vals[x])
-            vals[out] = fn(vals[x])
-    return vals
+def _pow_value(base: float, exponent: Number) -> float:
+    p = _float(exponent)
+    if base == 0.0:
+        if p < 0.0:
+            raise DivisionByZeroError("zero base raised to a negative power")
+        return 0.0 if p > 0.0 else 1.0
+    sign = 1.0
+    if base < 0.0:
+        if isinstance(exponent, Fraction):
+            n = exponent.numerator if exponent.denominator == 1 else None
+        else:
+            n = int(p) if p.is_integer() else None
+        if n is None:
+            raise MathDomainError("power", base)
+        sign = -1.0 if n % 2 else 1.0
+    try:
+        return sign * abs(base) ** p
+    except OverflowError:
+        raise FloatOverflowError(f"{base!r}^{p!r} overflows a double") from None
 
 
-def _peak(vals: list[float]) -> float:
+def _peak(vals) -> float:
     """Largest magnitude among the values; NaNs are skipped, 0.0 if there is none."""
-    peak = max(map(abs, vals))
-    if peak != peak:  # max() keeps a leading NaN
-        peak = max((v for v in map(abs, vals) if v == v), default=0.0)
-    return peak
+    return max((a for a in map(abs, vals) if a == a), default=0.0)
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
@@ -557,13 +507,14 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     power) of negative arguments, sin/cos of infinities and overflow of a
     double through distinct error types.
     """
-    return _run(_tape(e), bindings)[-1]
+    return _eval(e, bindings, {})
 
 
 def evaluate_tracked(e: Expr, bindings: Mapping[str, float]) -> tuple[float, float]:
     """Like `evaluate`, also returning the largest intermediate magnitude."""
-    vals = _run(_tape(e), bindings)
-    return vals[-1], _peak(vals)
+    seen: dict = {}
+    v = _eval(e, bindings, seen)
+    return v, _peak(seen.values())
 
 
 # --------------------------------------------------------------------------
@@ -633,14 +584,12 @@ def max_residual(
     missing = free_vars(e) - set(box)
     if missing:
         raise ValueError(f"box does not cover free variables: {sorted(missing)}")
-    tape = _tape(e)
     rng = random.Random(seed)
     names = sorted(box)
     worst = 0.0
     for _ in range(max(1, trials)):
         point = {n: rng.uniform(*box[n]) for n in names}
-        vals = _run(tape, point)
-        value, peak = vals[-1], _peak(vals)
+        value, peak = evaluate_tracked(e, point)
         if not (math.isfinite(value) and math.isfinite(peak)):
             return math.inf
         scaled = abs(value) / (1.0 + peak)

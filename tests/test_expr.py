@@ -228,7 +228,7 @@ def test_math_helpers_track_intermediates():
 
 
 # --------------------------------------------------------------------------
-# Hash-consed DAG and compiled tape
+# Hash-consed DAG and its evaluation
 # --------------------------------------------------------------------------
 
 
@@ -347,7 +347,7 @@ def _outcome(fn, *args):
 
 @settings(max_examples=400, deadline=None)
 @given(_EXPRS, _POINTS)
-def test_tape_matches_recursive_reference(e, point):
+def test_dag_evaluation_matches_tree_reference(e, point):
     want = _outcome(_reference, e, point)
     got = _outcome(ex.evaluate_tracked, e, point)
     if isinstance(want, type):
@@ -408,7 +408,7 @@ def test_free_vars_are_stored_on_the_node():
 def test_unreferenced_nodes_are_collected():
     e = ex.add(ex.mul(Var("q_dead"), Const(Fraction(12345))), ex.sqrt(Var("q_dead")))
     diff(e, "q_dead")  # memos may form cycles back to e
-    evaluate(e, {"q_dead": 2.0})  # and a cached tape
+    evaluate(e, {"q_dead": 2.0})
     ref = weakref.ref(e)
     del e
     gc.collect()
@@ -416,13 +416,15 @@ def test_unreferenced_nodes_are_collected():
     assert (Var, "q_dead") not in ex._TABLE
 
 
-def test_tape_reports_errors_in_tree_order():
+def test_dag_evaluation_reports_errors_in_tree_order():
     with pytest.raises(DivisionByZeroError):
         evaluate(parse("1/x + ln(y)"), {"x": 0.0, "y": -1.0})
     with pytest.raises(MathDomainError):
         evaluate(parse("ln(y) + 1/x"), {"x": 0.0, "y": -1.0})
     with pytest.raises(UnboundVariableError):
         evaluate(parse("z * sqrt(x)"), {"x": -1.0})
+    with pytest.raises(DivisionByZeroError):
+        evaluate(parse("1/x + 10^400"), {"x": 0.0})
 
 
 def test_sum_overflow_is_a_typed_error():

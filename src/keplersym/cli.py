@@ -36,7 +36,7 @@ from .orbit import (
     orbit_to_dict,
     sample,
 )
-from .verify import DEFAULT_TOL, SUITES, run_suites
+from .verify import SUITES, run_suites
 
 SEED_ENV_VAR = "KEPLER_SYM_SEED"
 
@@ -53,6 +53,15 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError as err:
         raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from err
+
+
+def _print_json(payload) -> None:
+    """The one JSON writer: JSON has no inf or nan, so a non-finite value is an error."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as err:
+        raise CliError("the result holds a non-finite number, which JSON cannot carry") from err
+    print(text)
 
 
 def _positive_int(text: str) -> int:
@@ -72,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_verify.add_argument("--json", action="store_true", help="emit the JSON report")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -127,17 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    reports = run_suites(args.suite, seed=seed, tol=args.tol)
+    reports = run_suites(args.suite, seed=seed)
     ok = all(r.ok for r in reports)
     if args.json:
         payload = [r.to_dict() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True, indent=2))
+        _print_json(payload[0] if len(payload) == 1 else payload)
     else:
         for r in reports:
             print(f"suite {r.suite}  seed={r.seed}  ({r.wall_time_s:.2f}s)")
             for c in r.cases:
                 res = "-" if c.residual is None else f"{c.residual:.3e}"
-                line = f"  [{c.status.upper():5s}] {c.name:28s} residual={res} tol={c.tol:.1e}"
+                tol = "-" if c.tol is None else f"{c.tol:.1e}"
+                line = f"  [{c.status.upper():5s}] {c.name:28s} residual={res} tol={tol}"
                 if c.detail:
                     line += f"  ({c.detail})"
                 print(line)
@@ -173,7 +182,7 @@ def cmd_orbit_info(args) -> int:
         "semi_major": g.semi_major,
         "semi_minor": g.semi_minor,
     }
-    print(json.dumps(record, sort_keys=True, indent=2))
+    _print_json(record)
     return 0
 
 
@@ -181,7 +190,7 @@ def cmd_orbit_sample(args) -> int:
     o = _make_orbit(args)
     pts = sample(o, args.n)
     if args.format == "json":
-        print(json.dumps([{"theta": p.theta, "x": p.x, "y": p.y} for p in pts], indent=2))
+        _print_json([{"theta": p.theta, "x": p.x, "y": p.y} for p in pts])
         return 0
     writer = csv.writer(sys.stdout)
     writer.writerow(["theta", "x", "y"])
@@ -310,15 +319,7 @@ def cmd_envelope(args) -> int:
             members = th.minor_axis_family(
                 args.b_axis, args.x1, np.linspace(-1.2, 1.2, args.members)
             )
-            payload = {
-                "kind": args.kind,
-                "params": {"b_axis": args.b_axis, "x1": args.x1},
-                "envelope": orbit_to_dict(env),
-                "envelope_points": _orbit_points(env),
-                "family": [
-                    {"dual": orbit_to_dict(m), "points": _orbit_points(m, 50)} for m in members
-                ],
-            }
+            payload = {"params": {"b_axis": args.b_axis, "x1": args.x1}}
         elif args.kind == "energy":
             if args.energy is None or args.x0 is None:
                 raise CliError("energy needs --energy and --x0")
@@ -326,17 +327,8 @@ def cmd_envelope(args) -> int:
             members = th.energy_family(
                 args.energy, args.x0, np.linspace(-0.9, 0.9, args.members)
             )
-            fx, fy = th.second_focus(env)
-            payload = {
-                "kind": args.kind,
-                "params": {"energy": args.energy, "x0": args.x0},
-                "envelope": orbit_to_dict(env),
-                "second_focus": [fx, fy],
-                "envelope_points": _orbit_points(env),
-                "family": [
-                    {"dual": orbit_to_dict(m), "points": _orbit_points(m, 50)} for m in members
-                ],
-            }
+            payload = {"params": {"energy": args.energy, "x0": args.x0},
+                       "second_focus": list(th.second_focus(env))}
         else:
             if args.area is None:
                 raise CliError("hooke needs --area")
@@ -344,16 +336,21 @@ def cmd_envelope(args) -> int:
             curves = th.hooke_family(args.area, np.linspace(-1.0, 1.0, args.members))
             ts = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
             payload = {
-                "kind": args.kind,
                 "params": {"area": args.area},
                 "envelope_lines": [env.half_gap, -env.half_gap],
                 "family": [
                     {"points": [list(cv.point(float(t))) for t in ts]} for cv in curves
                 ],
             }
+        if args.kind != "hooke":
+            payload["envelope"] = orbit_to_dict(env)
+            payload["envelope_points"] = _orbit_points(env)
+            payload["family"] = [
+                {"dual": orbit_to_dict(m), "points": _orbit_points(m, 50)} for m in members
+            ]
     except th.TheoremError as err:
         raise CliError(str(err)) from err
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    _print_json({"kind": args.kind, **payload})
     return 0
 
 

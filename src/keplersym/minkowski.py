@@ -41,6 +41,10 @@ class MinkVec:
     b: float
     c: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise MinkowskiError(f"coordinates must be finite, got {self.as_tuple()}")
+
     def __add__(self, other: "MinkVec") -> "MinkVec":
         return MinkVec(self.a + other.a, self.b + other.b, self.c + other.c)
 

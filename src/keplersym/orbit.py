@@ -62,6 +62,8 @@ class PlanePoint:
     def __post_init__(self):
         if self.x == 0.0 and self.y == 0.0:
             raise OrbitError("the origin is excluded from the Kepler plane")
+        if not all(map(math.isfinite, (self.x, self.y))):
+            raise OrbitError(f"coordinates must be finite, got ({self.x}, {self.y})")
 
     @property
     def r(self) -> float:
@@ -346,13 +348,14 @@ def _pericenter_time_scale(o: KeplerOrbit) -> float:
 def rk4(f, y0: np.ndarray, h: float, steps: int, guard=None) -> np.ndarray:
     """Classic fixed-step RK4 for y' = f(y); returns the (steps+1, d) states.
 
-    `guard(i, y)` runs before step i and may raise to stop the run.
+    `guard(t, y)` runs before each step, t = i*h being its start time, and
+    may raise to stop the run.
     """
     out = np.empty((steps + 1, len(y0)))
     y = out[0] = y0
     for i in range(steps):
         if guard is not None:
-            guard(i, y)
+            guard(i * h, y)
         k1 = f(y)
         k2 = f(y + 0.5 * h * k1)
         k3 = f(y + 0.5 * h * k2)

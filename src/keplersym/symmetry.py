@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .minkowski import MinkVec
-from .orbit import PlanePoint, rk4
+from .orbit import OrbitError, PlanePoint, rk4
 
 J3 = np.diag([1.0, 1.0, -1.0])
 
@@ -206,32 +206,29 @@ def act_dual(g: GroupElement, v: MinkVec) -> MinkVec:
     return MinkVec(float(image[0]), float(image[1]), float(image[2]))
 
 
-@dataclass(frozen=True)
-class PlaneVector:
-    point: PlanePoint
-    vx: float
-    vy: float
+def _plane_field(m: np.ndarray, xy, sheet: int) -> np.ndarray:
+    """Plane field of the generator matrix m at xy: gamma'(0) for gamma(t) = pi(e^{tm} q)."""
+    x, y = xy
+    if x == 0.0 and y == 0.0:
+        raise OrbitError("the origin is excluded from the Kepler plane")
+    u = m @ np.array([x, y, sheet * math.hypot(x, y), 1.0])
+    return np.array([u[0] - x * u[3], u[1] - y * u[3]])
 
-    def velocity(self) -> tuple[float, float]:
-        return (self.vx, self.vy)
+
+def _dual_field(m: np.ndarray, w) -> np.ndarray:
+    """Dual field of the generator matrix m at w: gamma'(0) for gamma(t) = pi(w e^{-tm})."""
+    u = -(np.array([w[0], w[1], w[2], -1.0]) @ m)
+    return np.array([u[0] + w[0] * u[3], u[1] + w[1] * u[3], u[2] + w[2] * u[3]])
 
 
-def vf_plane(x: AlgebraElement, p: PlanePoint, sheet: int = 1) -> PlaneVector:
-    """Infinitesimal plane action: gamma'(0) for gamma(t) = pi(e^{tX} q)."""
-    q = _lift4(p, sheet)
-    u = x.matrix @ q
-    return PlaneVector(p, float(u[0] - p.x * u[3]), float(u[1] - p.y * u[3]))
+def vf_plane(x: AlgebraElement, p: PlanePoint, sheet: int = 1) -> tuple[float, float]:
+    """Infinitesimal plane action at p, as (vx, vy)."""
+    return tuple(_plane_field(x.matrix, _lift4(p, sheet)[:2], sheet).tolist())
 
 
 def vf_dual(x: AlgebraElement, v: MinkVec) -> MinkVec:
-    """Infinitesimal dual action: gamma'(0) for gamma(t) = pi(p e^{-tX})."""
-    row = np.array([v.a, v.b, v.c, -1.0])
-    w = -(row @ x.matrix)
-    return MinkVec(
-        float(w[0] + v.a * w[3]),
-        float(w[1] + v.b * w[3]),
-        float(w[2] + v.c * w[3]),
-    )
+    """Infinitesimal dual action at v."""
+    return MinkVec(*_dual_field(x.matrix, v.as_tuple()).tolist())
 
 
 def bracket(x1: AlgebraElement, x2: AlgebraElement) -> AlgebraElement:
@@ -257,46 +254,35 @@ def fixed_energy_algebra(energy: float) -> tuple[AlgebraElement, AlgebraElement,
     return (g2, g3, g4)
 
 
-def flow(
-    x: AlgebraElement,
-    p: PlanePoint,
-    t: float,
-    sheet: int = 1,
-    steps: int | None = None,
-) -> PlanePoint:
+def _rk4_endpoint(field, y0: np.ndarray, t: float, steps: int | None, guard=None) -> np.ndarray:
+    """RK4 endpoint of y' = field(y) after time t, by default in max(200, ceil(2000|t|)) steps."""
+    if steps is None:
+        steps = max(200, math.ceil(abs(t) * 2000))
+    return rk4(field, y0, t / steps, steps, guard)[-1]
+
+
+def _plane_exit(s: float, xy: np.ndarray) -> None:
+    r = math.hypot(xy[0], xy[1])
+    if r < 1e-12 or r > 1e12:
+        raise FlowExitError("flow left the punctured plane", s)
+
+
+def flow(x: AlgebraElement, p: PlanePoint, t: float, sheet: int = 1,
+         steps: int | None = None) -> PlanePoint:
     """RK4 endpoint of the plane flow of X; cross-validates act_plane o exp.
 
     The last three coordinate fields are incomplete: trajectories can run
     off to infinity or into the puncture in finite time, reported as a
     flow exit with the current time estimate.
     """
-    if steps is None:
-        steps = max(200, math.ceil(abs(t) * 2000))
-    h = t / steps
-
-    def rhs(xy: np.ndarray) -> np.ndarray:
-        pt = PlanePoint(float(xy[0]), float(xy[1]))
-        v = vf_plane(x, pt, sheet)
-        return np.array([v.vx, v.vy])
-
-    def guard(i: int, xy: np.ndarray) -> None:
-        r = math.hypot(xy[0], xy[1])
-        if r < 1e-12 or r > 1e12:
-            raise FlowExitError("flow left the punctured plane", i * h)
-
-    end = rk4(rhs, np.array([p.x, p.y]), h, steps, guard)[-1]
+    m = x.matrix
+    end = _rk4_endpoint(lambda xy: _plane_field(m, xy, sheet), _lift4(p, sheet)[:2], t, steps,
+                        _plane_exit)
     return PlanePoint(float(end[0]), float(end[1]))
 
 
 def flow_dual(x: AlgebraElement, v: MinkVec, t: float, steps: int | None = None) -> MinkVec:
     """RK4 endpoint of the dual flow of X."""
-    if steps is None:
-        steps = max(200, math.ceil(abs(t) * 2000))
-    h = t / steps
-
-    def rhs(w: np.ndarray) -> np.ndarray:
-        vel = vf_dual(x, MinkVec(float(w[0]), float(w[1]), float(w[2])))
-        return np.array([vel.a, vel.b, vel.c])
-
-    end = rk4(rhs, np.array([v.a, v.b, v.c]), h, steps)[-1]
-    return MinkVec(float(end[0]), float(end[1]), float(end[2]))
+    m = x.matrix
+    end = _rk4_endpoint(lambda w: _dual_field(m, w), np.array(v.as_tuple()), t, steps)
+    return MinkVec(*end.tolist())

@@ -422,12 +422,19 @@ def lambert_check(o: KeplerOrbit, u1: float, u2: float) -> LambertSides:
 # Envelopes of concurrent families
 # --------------------------------------------------------------------------
 
+def _focal_parameter(num: float, den: float) -> float:
+    """The envelope parameter p = num/den, which must be finite and nonzero."""
+    if den == 0.0 or not 0.0 < num / den < math.inf:
+        raise TheoremError(f"the envelope parameter p = {num!r}/{den!r} is zero or not finite")
+    return num / den
+
+
 def envelope_minor_axis(b_axis: float, x1: float) -> KeplerOrbit:
     """Envelope of the ellipses with minor axis B through (x1, 0): the
     parabola y^2 = 4p(x + p) with p = B^2/(4 x1), dual (-1/(2p), 0, 1/(2p))."""
     if b_axis <= 0.0 or x1 <= 0.0:
         raise TheoremError("need B > 0 and x1 > 0")
-    p = b_axis * b_axis / (4.0 * x1)
+    p = _focal_parameter(b_axis * b_axis, 4.0 * x1)
     return from_abc(-1.0 / (2.0 * p), 0.0, 1.0 / (2.0 * p))
 
 
@@ -450,7 +457,7 @@ def envelope_energy(energy: float, x0: float) -> KeplerOrbit:
         raise TheoremError("the enveloping ellipse exists for negative energy")
     if 1.0 + energy * x0 <= 0.0 or x0 <= 0.0:
         raise TheoremError("fixed point lies outside the Hill region")
-    p = (1.0 + energy * x0) / (x0 * energy * energy)
+    p = _focal_parameter(1.0 + energy * x0, x0 * energy * energy)
     return from_abc(-1.0 / (2.0 * p), 0.0, 1.0 / (2.0 * p) - energy)
 
 
@@ -487,8 +494,8 @@ class ParallelLines:
 def envelope_hooke(area: float) -> ParallelLines:
     """Envelope of origin-centered ellipses of fixed area through (1, 0):
     the two lines y = +/- area/pi."""
-    if area <= 0.0:
-        raise TheoremError("need a positive area")
+    if not 0.0 < area < math.inf:
+        raise TheoremError("need a positive finite area")
     return ParallelLines(area / math.pi)
 
 

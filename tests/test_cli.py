@@ -3,11 +3,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import keplersym
 from keplersym.cli import main
 
 
@@ -41,6 +46,24 @@ def test_verify_reports_are_deterministic(capsys):
     assert code1 == code2 == 0
     strip = lambda s: re.sub(r'"wall_time_s": [0-9.e+-]+', '"wall_time_s": 0', s)
     assert strip(out1) == strip(out2)
+
+
+def test_verify_reports_agree_across_processes():
+    # the whole report, not one suite, and str hashing randomized differently per process
+    src = str(Path(keplersym.__file__).resolve().parents[1])
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "keplersym", "verify", "--suite", "all", "--json", "--seed", "5"],
+            stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+        )
+        for hash_seed in ("0", "1")
+    ]
+    outs = [proc.communicate(timeout=300)[0].decode() for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    kept = ["\n".join(ln for ln in out.splitlines() if '"wall_time_s"' not in ln) for out in outs]
+    assert kept[0] == kept[1]
+    assert len(json.loads(outs[0])) == 5
 
 
 def test_verify_seed_from_environment(capsys, monkeypatch):
@@ -251,3 +274,18 @@ def test_map_flags_non_finite_rows(tmp_path, capsys):
     assert [r[3] for r in rows[1:]] == ["non-finite row"] * 3 + [""]
     assert [r[:3] for r in rows[1:4]] == [["", "", ""]] * 3
     assert (float(rows[4][1]), float(rows[4][2])) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "hooke", "--area", "nan"],
+    ["envelope", "hooke", "--area", "inf"],
+    ["orbit", "info", "--a", "1e200", "--b", "0", "--c", "1e-200"],
+    ["envelope", "minor-axis", "--b-axis", "1e-200", "--x1", "1"],
+    ["envelope", "minor-axis", "--b-axis", "2", "--x1", "inf"],
+    ["envelope", "energy", "--energy=-1e-300", "--x0", "1"],
+])
+def test_non_finite_results_are_domain_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

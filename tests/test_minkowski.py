@@ -122,3 +122,10 @@ def test_pencil_prediction_matches_sampling_for_ellipses():
         predicted = pencil_classify(v1, v2).common_points
         assert predicted == _sampled_intersection_count(v1, v2)
         done += 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_minkvec_rejects_non_finite_coordinates(bad):
+    for coords in ((bad, 0.0, 1.0), (0.0, bad, 1.0), (0.0, 0.0, bad)):
+        with pytest.raises(MinkowskiError, match="finite"):
+            MinkVec(*coords)

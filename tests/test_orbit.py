@@ -232,3 +232,10 @@ def test_orbit_dict_round_trip():
     assert ko.orbit_from_dict(d) == o
     with pytest.raises(OrbitError):
         ko.orbit_from_dict({"a": 1.0})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_plane_point_rejects_non_finite_coordinates(bad):
+    for coords in ((bad, 1.0), (1.0, bad), (bad, 0.0)):
+        with pytest.raises(OrbitError, match="finite"):
+            PlanePoint(*coords)

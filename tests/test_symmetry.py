@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from keplersym.minkowski import MinkVec, norm2
-from keplersym.orbit import PlanePoint, from_abc, membership_residual, sample
+from keplersym.orbit import OrbitError, PlanePoint, from_abc, membership_residual, sample
 from keplersym.symmetry import (
     J3,
     AlgebraElement,
@@ -125,9 +125,9 @@ def test_act_dual_dilation_scales():
 
 
 def test_vf_plane_example_values():
-    assert vf_plane(algebra(x2=1), PlanePoint(1, 0)).velocity() == (0.0, 1.0)
-    assert vf_plane(algebra(x7=1), PlanePoint(1, 0)).velocity() == (-1.0, 0.0)
-    assert vf_plane(algebra(x3=1), PlanePoint(0, 1)).velocity() == (1.0, 0.0)
+    assert vf_plane(algebra(x2=1), PlanePoint(1, 0)) == (0.0, 1.0)
+    assert vf_plane(algebra(x7=1), PlanePoint(1, 0)) == (-1.0, 0.0)
+    assert vf_plane(algebra(x3=1), PlanePoint(0, 1)) == (1.0, 0.0)
 
 
 def test_vf_dual_example_values():
@@ -147,7 +147,7 @@ def test_vf_plane_matches_closed_forms():
         p = PlanePoint(x, y)
         r = p.r
         for gen, field in zip(gens, PLANE_FIELDS):
-            got = vf_plane(gen, p).velocity()
+            got = vf_plane(gen, p)
             want = field(x, y, r)
             err = math.hypot(got[0] - want[0], got[1] - want[1])
             assert err <= 1e-12 * (1.0 + math.hypot(*want))
@@ -204,7 +204,7 @@ def test_algebra_from_matrix_rejects_outside():
 def test_fixed_energy_fields():
     g2, g3, g4 = fixed_energy_algebra(-1.0)
     # the x3 generator's field vanishes at (1, 0) for E = -1
-    assert vf_plane(g3, PlanePoint(1, 0), sheet=1).velocity() == pytest.approx((0.0, 0.0))
+    assert vf_plane(g3, PlanePoint(1, 0), sheet=1) == pytest.approx((0.0, 0.0))
     rng = np.random.default_rng(5)
     for _ in range(50):
         x, y = rng.uniform(-2, 2, size=2)
@@ -212,11 +212,11 @@ def test_fixed_energy_fields():
             continue
         p = PlanePoint(x, y)
         r = p.r
-        assert vf_plane(g2, p, 1).velocity() == pytest.approx((-y, x), abs=1e-13)
+        assert vf_plane(g2, p, 1) == pytest.approx((-y, x), abs=1e-13)
         want3 = (r + -1.0 * x * x, -1.0 * x * y)
-        assert vf_plane(g3, p, 1).velocity() == pytest.approx(want3, abs=1e-12)
+        assert vf_plane(g3, p, 1) == pytest.approx(want3, abs=1e-12)
         want4 = (-1.0 * x * y, r + -1.0 * y * y)
-        assert vf_plane(g4, p, 1).velocity() == pytest.approx(want4, abs=1e-12)
+        assert vf_plane(g4, p, 1) == pytest.approx(want4, abs=1e-12)
 
 
 def test_fixed_energy_positive_sign_flip():
@@ -230,7 +230,7 @@ def test_fixed_energy_positive_sign_flip():
         p = PlanePoint(x, y)
         r = p.r
         v3 = (r + energy * x * x, energy * x * y)
-        got = vf_plane(g3, p, sheet=-1).velocity()
+        got = vf_plane(g3, p, sheet=-1)
         assert got == pytest.approx((-v3[0], -v3[1]), abs=1e-12)
 
 
@@ -270,6 +270,55 @@ def test_flow_exit_reports_exit_time():
     with pytest.raises(FlowExitError) as err:
         flow(algebra(x7=1), PlanePoint(1, 0), -2.0)
     assert err.value.t_exit == pytest.approx(-1.0, abs=5e-3)
+
+
+def _reference_rk4(field, y: np.ndarray, t: float) -> np.ndarray:
+    """RK4 in the flows' default max(200, ceil(2000|t|)) steps."""
+    steps = max(200, math.ceil(abs(t) * 2000))
+    h = t / steps
+    for _ in range(steps):
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def test_flows_integrate_the_public_fields():
+    # a flow must integrate exactly the field that vf_plane / vf_dual report
+    rng = np.random.default_rng(11)
+    for sheet in (1, -1):
+        for t in (0.4, -0.25):
+            gen = AlgebraElement(*rng.uniform(-0.3, 0.3, size=7))
+            r, phi = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+            p = PlanePoint(r * math.cos(phi), r * math.sin(phi))
+            want = _reference_rk4(
+                lambda y: np.array(vf_plane(gen, PlanePoint(*y.tolist()), sheet)),
+                np.array([p.x, p.y]), t)
+            got = flow(gen, p, t, sheet=sheet)
+            assert (got.x, got.y) == tuple(want.tolist())
+            v = MinkVec(*rng.uniform(-1.0, 1.0, size=2), rng.uniform(1.5, 3.0))
+            want = _reference_rk4(
+                lambda y: np.array(vf_dual(gen, MinkVec(*y.tolist())).as_tuple()),
+                np.array(v.as_tuple()), t)
+            assert flow_dual(gen, v, t).as_tuple() == tuple(want.tolist())
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: flow(algebra(x2=1), p, 0.1, sheet=2),
+    lambda p: vf_plane(algebra(x2=1), p, sheet=2),
+    lambda p: act_plane(identity(), p, sheet=2),
+])
+def test_plane_action_rejects_other_sheets(call):
+    with pytest.raises(SymmetryError, match="sheet"):
+        call(PlanePoint(1.0, 0.5))
+
+
+def test_flow_stage_on_the_origin_is_an_orbit_error():
+    # the x1 field is (x, y); one step of h = -2 puts the second stage at p - p = 0
+    with pytest.raises(OrbitError, match="origin"):
+        flow(algebra(x1=1), PlanePoint(1.0, 0.5), -2.0, steps=1)
 
 
 def test_one_parameter_subgroup():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -22,6 +23,14 @@ def test_nan_residual_fails_the_case(monkeypatch, case, patched):
     owner, _, name = patched.rpartition(".")
     target = getattr(vf, owner) if owner else vf
     monkeypatch.setattr(target, name, lambda *args, **kwargs: math.nan)
-    result = case(0, vf.DEFAULT_TOL)
+    result = case(0)
     assert result.status == "fail"
     assert result.residual == math.inf
+
+
+@pytest.mark.parametrize("residual", [math.inf, math.nan])
+def test_report_writes_non_finite_residual_as_null(residual):
+    report = vf.VerifyReport("maps", 0, [vf._result("case", residual, 1e-8)], 0.0)
+    (case,) = json.loads(json.dumps(report.to_dict(), allow_nan=False))["cases"]
+    assert case["residual"] is None
+    assert case["status"] == "fail"

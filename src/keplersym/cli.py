@@ -145,8 +145,7 @@ def cmd_verify(args) -> int:
             print(f"suite {r.suite}  seed={r.seed}  ({r.wall_time_s:.2f}s)")
             for c in r.cases:
                 res = "-" if c.residual is None else f"{c.residual:.3e}"
-                tol = "-" if c.tol is None else f"{c.tol:.1e}"
-                line = f"  [{c.status.upper():5s}] {c.name:28s} residual={res} tol={tol}"
+                line = f"  [{c.status.upper():5s}] {c.name:28s} residual={res} tol={c.tol:.1e}"
                 if c.detail:
                     line += f"  ({c.detail})"
                 print(line)
@@ -319,7 +318,15 @@ def cmd_envelope(args) -> int:
             members = th.minor_axis_family(
                 args.b_axis, args.x1, np.linspace(-1.2, 1.2, args.members)
             )
-            payload = {"params": {"b_axis": args.b_axis, "x1": args.x1}}
+            payload = {
+                "kind": args.kind,
+                "params": {"b_axis": args.b_axis, "x1": args.x1},
+                "envelope": orbit_to_dict(env),
+                "envelope_points": _orbit_points(env),
+                "family": [
+                    {"dual": orbit_to_dict(m), "points": _orbit_points(m, 50)} for m in members
+                ],
+            }
         elif args.kind == "energy":
             if args.energy is None or args.x0 is None:
                 raise CliError("energy needs --energy and --x0")
@@ -327,8 +334,17 @@ def cmd_envelope(args) -> int:
             members = th.energy_family(
                 args.energy, args.x0, np.linspace(-0.9, 0.9, args.members)
             )
-            payload = {"params": {"energy": args.energy, "x0": args.x0},
-                       "second_focus": list(th.second_focus(env))}
+            fx, fy = th.second_focus(env)
+            payload = {
+                "kind": args.kind,
+                "params": {"energy": args.energy, "x0": args.x0},
+                "envelope": orbit_to_dict(env),
+                "second_focus": [fx, fy],
+                "envelope_points": _orbit_points(env),
+                "family": [
+                    {"dual": orbit_to_dict(m), "points": _orbit_points(m, 50)} for m in members
+                ],
+            }
         else:
             if args.area is None:
                 raise CliError("hooke needs --area")
@@ -336,21 +352,16 @@ def cmd_envelope(args) -> int:
             curves = th.hooke_family(args.area, np.linspace(-1.0, 1.0, args.members))
             ts = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
             payload = {
+                "kind": args.kind,
                 "params": {"area": args.area},
                 "envelope_lines": [env.half_gap, -env.half_gap],
                 "family": [
                     {"points": [list(cv.point(float(t))) for t in ts]} for cv in curves
                 ],
             }
-        if args.kind != "hooke":
-            payload["envelope"] = orbit_to_dict(env)
-            payload["envelope_points"] = _orbit_points(env)
-            payload["family"] = [
-                {"dual": orbit_to_dict(m), "points": _orbit_points(m, 50)} for m in members
-            ]
     except th.TheoremError as err:
         raise CliError(str(err)) from err
-    _print_json({"kind": args.kind, **payload})
+    _print_json(payload)
     return 0
 
 

@@ -42,7 +42,7 @@ class MinkVec:
     c: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.as_tuple())):
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.c)):
             raise MinkowskiError(f"coordinates must be finite, got {self.as_tuple()}")
 
     def __add__(self, other: "MinkVec") -> "MinkVec":

@@ -62,7 +62,7 @@ class PlanePoint:
     def __post_init__(self):
         if self.x == 0.0 and self.y == 0.0:
             raise OrbitError("the origin is excluded from the Kepler plane")
-        if not all(map(math.isfinite, (self.x, self.y))):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise OrbitError(f"coordinates must be finite, got ({self.x}, {self.y})")
 
     @property

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
 
 from .minkowski import MinkVec
-from .orbit import OrbitError, PlanePoint, rk4
+from .orbit import PlanePoint, rk4
 
 J3 = np.diag([1.0, 1.0, -1.0])
 
@@ -56,10 +57,10 @@ class AlgebraElement:
     x6: float = 0.0
     x7: float = 0.0
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
         q = self.x1 / 4.0
-        return np.array(
+        m = np.array(
             [
                 [q, -self.x2, self.x3, 0.0],
                 [self.x2, q, self.x4, 0.0],
@@ -67,6 +68,8 @@ class AlgebraElement:
                 [self.x5, self.x6, self.x7, -3.0 * q],
             ]
         )
+        m.setflags(write=False)  # computed once and shared by every caller
+        return m
 
     def coords(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3, self.x4, self.x5, self.x6, self.x7])
@@ -206,29 +209,16 @@ def act_dual(g: GroupElement, v: MinkVec) -> MinkVec:
     return MinkVec(float(image[0]), float(image[1]), float(image[2]))
 
 
-def _plane_field(m: np.ndarray, xy, sheet: int) -> np.ndarray:
-    """Plane field of the generator matrix m at xy: gamma'(0) for gamma(t) = pi(e^{tm} q)."""
-    x, y = xy
-    if x == 0.0 and y == 0.0:
-        raise OrbitError("the origin is excluded from the Kepler plane")
-    u = m @ np.array([x, y, sheet * math.hypot(x, y), 1.0])
-    return np.array([u[0] - x * u[3], u[1] - y * u[3]])
-
-
-def _dual_field(m: np.ndarray, w) -> np.ndarray:
-    """Dual field of the generator matrix m at w: gamma'(0) for gamma(t) = pi(w e^{-tm})."""
-    u = -(np.array([w[0], w[1], w[2], -1.0]) @ m)
-    return np.array([u[0] + w[0] * u[3], u[1] + w[1] * u[3], u[2] + w[2] * u[3]])
-
-
 def vf_plane(x: AlgebraElement, p: PlanePoint, sheet: int = 1) -> tuple[float, float]:
-    """Infinitesimal plane action at p, as (vx, vy)."""
-    return tuple(_plane_field(x.matrix, _lift4(p, sheet)[:2], sheet).tolist())
+    """Infinitesimal plane action: gamma'(0) for gamma(t) = pi(e^{tX} q), as (vx, vy)."""
+    u = (x.matrix @ _lift4(p, sheet)).tolist()
+    return (u[0] - p.x * u[3], u[1] - p.y * u[3])
 
 
 def vf_dual(x: AlgebraElement, v: MinkVec) -> MinkVec:
-    """Infinitesimal dual action at v."""
-    return MinkVec(*_dual_field(x.matrix, v.as_tuple()).tolist())
+    """Infinitesimal dual action: gamma'(0) for gamma(t) = pi(p e^{-tX})."""
+    w = [-c for c in (np.array([v.a, v.b, v.c, -1.0]) @ x.matrix).tolist()]
+    return MinkVec(w[0] + v.a * w[3], w[1] + v.b * w[3], w[2] + v.c * w[3])
 
 
 def bracket(x1: AlgebraElement, x2: AlgebraElement) -> AlgebraElement:
@@ -275,14 +265,13 @@ def flow(x: AlgebraElement, p: PlanePoint, t: float, sheet: int = 1,
     off to infinity or into the puncture in finite time, reported as a
     flow exit with the current time estimate.
     """
-    m = x.matrix
-    end = _rk4_endpoint(lambda xy: _plane_field(m, xy, sheet), _lift4(p, sheet)[:2], t, steps,
-                        _plane_exit)
-    return PlanePoint(float(end[0]), float(end[1]))
+    end = _rk4_endpoint(lambda xy: np.array(vf_plane(x, PlanePoint(*xy.tolist()), sheet)),
+                        np.array([p.x, p.y]), t, steps, _plane_exit)
+    return PlanePoint(*end.tolist())
 
 
 def flow_dual(x: AlgebraElement, v: MinkVec, t: float, steps: int | None = None) -> MinkVec:
     """RK4 endpoint of the dual flow of X."""
-    m = x.matrix
-    end = _rk4_endpoint(lambda w: _dual_field(m, w), np.array(v.as_tuple()), t, steps)
+    end = _rk4_endpoint(lambda w: np.array(vf_dual(x, MinkVec(*w.tolist())).as_tuple()),
+                        np.array(v.as_tuple()), t, steps)
     return MinkVec(*end.tolist())

@@ -423,9 +423,9 @@ def lambert_check(o: KeplerOrbit, u1: float, u2: float) -> LambertSides:
 # --------------------------------------------------------------------------
 
 def _focal_parameter(num: float, den: float) -> float:
-    """The envelope parameter p = num/den, which must be finite and nonzero."""
+    """The envelope's length parameter num/den, which must be finite and positive."""
     if den == 0.0 or not 0.0 < num / den < math.inf:
-        raise TheoremError(f"the envelope parameter p = {num!r}/{den!r} is zero or not finite")
+        raise TheoremError(f"the envelope parameter {num!r}/{den!r} is not finite and positive")
     return num / den
 
 
@@ -494,9 +494,7 @@ class ParallelLines:
 def envelope_hooke(area: float) -> ParallelLines:
     """Envelope of origin-centered ellipses of fixed area through (1, 0):
     the two lines y = +/- area/pi."""
-    if not 0.0 < area < math.inf:
-        raise TheoremError("need a positive finite area")
-    return ParallelLines(area / math.pi)
+    return ParallelLines(_focal_parameter(area, math.pi))
 
 
 def hooke_family(area: float, shears: Sequence[float]) -> list[ParametricCurve]:

@@ -48,6 +48,7 @@ from .symmetry import (
     vf_plane,
 )
 
+DEFAULT_TOL = 1e-8
 SUITES = ("symmetry", "duality", "invariants", "theorems", "maps")
 
 
@@ -56,7 +57,7 @@ class CaseResult:
     name: str
     status: str  # pass | fail | error
     residual: float | None
-    tol: float | None  # None when the case raised
+    tol: float
     detail: str = ""
 
 
@@ -150,7 +151,7 @@ _DUAL_FIELDS = [
 ]
 
 
-def case_vf_plane_closed_forms(seed: int) -> CaseResult:
+def case_vf_plane_closed_forms(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "vf_plane_closed_forms")
     gens = basis()
     worst = 0.0
@@ -167,7 +168,7 @@ def case_vf_plane_closed_forms(seed: int) -> CaseResult:
     return _result("vf_plane_closed_forms", worst, 1e-12)
 
 
-def case_vf_dual_closed_forms(seed: int) -> CaseResult:
+def case_vf_dual_closed_forms(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "vf_dual_closed_forms")
     gens = basis()
     worst = 0.0
@@ -182,7 +183,7 @@ def case_vf_dual_closed_forms(seed: int) -> CaseResult:
     return _result("vf_dual_closed_forms", worst, 1e-12)
 
 
-def case_commuting_square(seed: int) -> CaseResult:
+def case_commuting_square(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "commuting_square")
     worst = 0.0
     chart_exits = 0
@@ -200,10 +201,10 @@ def case_commuting_square(seed: int) -> CaseResult:
                 continue
             worst = _worst(worst, membership_residual(image, q.x, q.y))
         checked += 1
-    return _result("commuting_square", worst, 1e-8, detail=f"chart_exits={chart_exits}")
+    return _result("commuting_square", worst, tol, detail=f"chart_exits={chart_exits}")
 
 
-def case_bracket_closure(seed: int) -> CaseResult:
+def case_bracket_closure(seed: int, tol: float) -> CaseResult:
     gens = basis()
     flat = [g.matrix.ravel() for g in gens]
     worst = 0.0
@@ -216,7 +217,7 @@ def case_bracket_closure(seed: int) -> CaseResult:
     return _result("bracket_closure", worst, 1e-6)
 
 
-def case_one_param_subgroup(seed: int) -> CaseResult:
+def case_one_param_subgroup(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "one_param_subgroup")
     worst = 0.0
     for _ in range(20):
@@ -228,7 +229,7 @@ def case_one_param_subgroup(seed: int) -> CaseResult:
     return _result("one_param_subgroup", worst, 1e-11)
 
 
-def case_fixed_energy_quadric(seed: int) -> CaseResult:
+def case_fixed_energy_quadric(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "fixed_energy_quadric")
     worst = 0.0
     for energy in (-1.0, 0.5, 2.0):
@@ -247,7 +248,7 @@ def case_fixed_energy_quadric(seed: int) -> CaseResult:
 # duality suite
 # --------------------------------------------------------------------------
 
-def case_dual_curve_agreement(seed: int) -> CaseResult:
+def case_dual_curve_agreement(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "dual_curve_agreement")
     worst = 0.0
     for _ in range(20):
@@ -258,10 +259,10 @@ def case_dual_curve_agreement(seed: int) -> CaseResult:
         for t in np.linspace(lo + 1e-3, hi - 1e-3, 20):
             a, b = th.dual_point_of_tangent(curve, float(t))
             worst = _worst(worst, abs(math.hypot(a - circle.cx, b - circle.cy) - circle.radius))
-    return _result("dual_curve_agreement", worst, 1e-8)
+    return _result("dual_curve_agreement", worst, tol)
 
 
-def case_parabolic_point_planes(seed: int) -> CaseResult:
+def case_parabolic_point_planes(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "parabolic_point_planes")
     failures = 0
     for _ in range(100):
@@ -273,7 +274,7 @@ def case_parabolic_point_planes(seed: int) -> CaseResult:
     return _result("parabolic_point_planes", float(failures), 0.5)
 
 
-def case_ellipse_pencil_counts(seed: int) -> CaseResult:
+def case_ellipse_pencil_counts(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "ellipse_pencil_counts")
     failures = 0
     done = 0
@@ -304,7 +305,7 @@ def _kepler_fixed_e(energy: float) -> inv.SecondOrderODE:
     return inv.fixed_e_ode(inv.kepler_force(), inv.kepler_potential(), energy, box=box)
 
 
-def case_fixed_e_i2_closed_form(seed: int) -> CaseResult:
+def case_fixed_e_i2_closed_form(seed: int, tol: float) -> CaseResult:
     from .expr import Var
 
     worst = 0.0
@@ -320,7 +321,7 @@ def case_fixed_e_i2_closed_form(seed: int) -> CaseResult:
     return _result("fixed_e_i2_closed_form", worst, 1e-10)
 
 
-def case_fixed_e_i1_zero(seed: int) -> CaseResult:
+def case_fixed_e_i1_zero(seed: int, tol: float) -> CaseResult:
     worst = 0.0
     for energy in (-1.0, 0.5, 2.0):
         ode = _kepler_fixed_e(energy)
@@ -328,7 +329,7 @@ def case_fixed_e_i1_zero(seed: int) -> CaseResult:
     return _result("fixed_e_i1_zero", worst, ex.ZERO_TEST_THRESHOLD)
 
 
-def case_fixed_m_flat(seed: int) -> CaseResult:
+def case_fixed_m_flat(seed: int, tol: float) -> CaseResult:
     worst = 0.0
     for m in (0.5, 1.0, 2.0):
         ode = inv.fixed_m_ode(inv.kepler_force(), m)
@@ -336,7 +337,7 @@ def case_fixed_m_flat(seed: int) -> CaseResult:
     return _result("fixed_m_flat", worst, ex.ZERO_TEST_THRESHOLD)
 
 
-def case_fixed_e_elimination_gate(seed: int) -> CaseResult:
+def case_fixed_e_elimination_gate(seed: int, tol: float) -> CaseResult:
     worst = 0.0
     for energy, text in [(-1, "(rho^2 + rho1^2)/(2*(rho - 1)) - rho"),
                          (2, "(rho^2 + rho1^2)/(2*(rho + 2)) - rho")]:
@@ -347,7 +348,7 @@ def case_fixed_e_elimination_gate(seed: int) -> CaseResult:
     return _result("fixed_e_elimination_gate", worst, 1e-12)
 
 
-def case_type_ii_witness(seed: int) -> CaseResult:
+def case_type_ii_witness(seed: int, tol: float) -> CaseResult:
     box = {"x": (-1.0, 1.0), "y": (0.5, 2.0), "p": (-1.0, 1.0)}
     ode = inv.SecondOrderODE(ex.parse("(x*p - y)^3"), dict(box))
     r1 = ex.max_residual(inv.i1(ode), box, seed=seed)
@@ -359,7 +360,7 @@ def case_type_ii_witness(seed: int) -> CaseResult:
     )
 
 
-def case_wunschmann_scan(seed: int) -> CaseResult:
+def case_wunschmann_scan(seed: int, tol: float) -> CaseResult:
     grid = [-3, -2.5, -2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2, 3]
     rows = inv.power_law_scan(grid, "wunschmann", seed=seed)
     passing = {row.alpha for row in rows if row.passed}
@@ -368,14 +369,14 @@ def case_wunschmann_scan(seed: int) -> CaseResult:
                    detail=f"passing={sorted(passing)}")
 
 
-def case_fixed_m_scan(seed: int) -> CaseResult:
+def case_fixed_m_scan(seed: int, tol: float) -> CaseResult:
     rows = inv.power_law_scan([-3, -2, -1, 1, 2], "fixedM-flat", seed=seed)
     passing = {row.alpha for row in rows if row.passed}
     failures = 0 if passing == {-2.0, -3.0} else 1
     return _result("fixed_m_scan", float(failures), 0.5, detail=f"passing={sorted(passing)}")
 
 
-def case_zero_energy_scan(seed: int) -> CaseResult:
+def case_zero_energy_scan(seed: int, tol: float) -> CaseResult:
     rows = inv.power_law_scan([-2, -1, 1, 2], "zeroE-flat", seed=seed)
     failing = {row.alpha for row in rows if not row.passed}
     failures = 0 if failing == {-1.0} else 1
@@ -388,7 +389,7 @@ def _zero_energy_flatness(seed: int) -> float:
     return inv.flatness_residual(ode, seed=seed)
 
 
-def case_zero_energy_kepler_flat(seed: int) -> CaseResult:
+def case_zero_energy_kepler_flat(seed: int, tol: float) -> CaseResult:
     return _result("zero_energy_kepler_flat", _zero_energy_flatness(seed), ex.ZERO_TEST_THRESHOLD)
 
 
@@ -396,7 +397,7 @@ def case_zero_energy_kepler_flat(seed: int) -> CaseResult:
 # theorems suite
 # --------------------------------------------------------------------------
 
-def case_lambert_random(seed: int) -> CaseResult:
+def case_lambert_random(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "lambert_random")
     worst = 0.0
     for _ in range(100):
@@ -408,7 +409,7 @@ def case_lambert_random(seed: int) -> CaseResult:
     return _result("lambert_random", worst, 1e-10)
 
 
-def case_lambert_exact_case(seed: int) -> CaseResult:
+def case_lambert_exact_case(seed: int, tol: float) -> CaseResult:
     # worked case (1/2, 0, 1), u = (0, pi), in exact rational arithmetic:
     # sin^2(du/2) = 1, cos u1 = 1, cos u2 = -1
     a, b, c = Fraction(1, 2), Fraction(0), Fraction(1)
@@ -430,7 +431,7 @@ def case_lambert_exact_case(seed: int) -> CaseResult:
     )
 
 
-def case_four_vertices_fig12(seed: int) -> CaseResult:
+def case_four_vertices_fig12(seed: int, tol: float) -> CaseResult:
     verts = th.kepler_vertices(th.circle_curve(0.6, 0.0, 1.0))
     expected = sorted([0.0, math.acos(-0.6), math.pi, 2 * math.pi - math.acos(-0.6)])
     if len(verts) != 4:
@@ -440,7 +441,7 @@ def case_four_vertices_fig12(seed: int) -> CaseResult:
     return _result("four_vertices_fig12", worst, 1e-6)
 
 
-def case_tait_kneser_fig12(seed: int) -> CaseResult:
+def case_tait_kneser_fig12(seed: int, tol: float) -> CaseResult:
     curve = th.circle_curve(0.6, 0.0, 1.0)
     report = th.tait_kneser(curve, (0.05, math.acos(-0.6) - 0.05), k=12)
     failures = (0 if report.all_nested else 1) + (0 if report.all_chords_timelike else 1)
@@ -459,24 +460,24 @@ def _envelope_case(name: str, env: KeplerOrbit, members) -> CaseResult:
     return _result(name, worst, 1e-7)
 
 
-def case_envelope_minor_axis(seed: int) -> CaseResult:
+def case_envelope_minor_axis(seed: int, tol: float) -> CaseResult:
     return _envelope_case("envelope_minor_axis", th.envelope_minor_axis(2.0, 1.0),
                           th.minor_axis_family(2.0, 1.0, np.linspace(-1.2, 1.2, 20)))
 
 
-def case_envelope_energy(seed: int) -> CaseResult:
+def case_envelope_energy(seed: int, tol: float) -> CaseResult:
     return _envelope_case("envelope_energy", th.envelope_energy(-0.5, 1.0),
                           th.energy_family(-0.5, 1.0, np.linspace(-0.9, 0.9, 20)))
 
 
-def case_envelope_energy_focus(seed: int) -> CaseResult:
+def case_envelope_energy_focus(seed: int, tol: float) -> CaseResult:
     env = th.envelope_energy(-0.5, 1.0)
     fx, fy = th.second_focus(env)
     worst = math.hypot(fx - 1.0, fy - 0.0)
     return _result("envelope_energy_focus", worst, 1e-9)
 
 
-def case_envelope_hooke(seed: int) -> CaseResult:
+def case_envelope_hooke(seed: int, tol: float) -> CaseResult:
     env = th.envelope_hooke(math.pi)
     worst = abs(env.half_gap - 1.0)
     members = th.hooke_family(math.pi, np.linspace(-1.0, 1.0, 20))
@@ -506,15 +507,15 @@ def _newton_residuals() -> tuple[float, float]:
     return membership, conservation
 
 
-def case_newton_membership(seed: int) -> CaseResult:
+def case_newton_membership(seed: int, tol: float) -> CaseResult:
     return _result("newton_membership", _newton_residuals()[0], 1e-6)
 
 
-def case_newton_conservation(seed: int) -> CaseResult:
+def case_newton_conservation(seed: int, tol: float) -> CaseResult:
     return _result("newton_conservation", _newton_residuals()[1], 1e-8)
 
 
-def case_curved_quadric(seed: int) -> CaseResult:
+def case_curved_quadric(seed: int, tol: float) -> CaseResult:
     worst = th.curved_quadric_residual(MinkVec(0, 0, 1), -0.5, 0.0)
     worst = _worst(worst, th.curved_quadric_residual(MinkVec(math.sqrt(3.0), 0, -1), 1.0, 0.0))
     b_axis = 2.0
@@ -528,7 +529,7 @@ def case_curved_quadric(seed: int) -> CaseResult:
 # maps suite
 # --------------------------------------------------------------------------
 
-def case_square_lines_flat(seed: int) -> CaseResult:
+def case_square_lines_flat(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "square_lines_flat")
     worst = 0.0
     for _ in range(50):
@@ -545,7 +546,7 @@ def case_square_lines_flat(seed: int) -> CaseResult:
     return _result("square_lines_flat", worst, 1e-6)
 
 
-def case_flatten_m_collinear(seed: int) -> CaseResult:
+def case_flatten_m_collinear(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "flatten_m_collinear")
     worst = 0.0
     dual_worst = 0.0
@@ -570,7 +571,7 @@ def case_flatten_m_collinear(seed: int) -> CaseResult:
     return _result("flatten_m_collinear", worst, 1e-10)
 
 
-def case_hill_embedding(seed: int) -> CaseResult:
+def case_hill_embedding(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "hill_embedding")
     worst = 0.0
     radius_violations = 0
@@ -606,7 +607,7 @@ def case_hill_embedding(seed: int) -> CaseResult:
     return _result("hill_embedding", worst, 1e-8)
 
 
-def case_parabola_chart_law(seed: int) -> CaseResult:
+def case_parabola_chart_law(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "parabola_chart_law")
     worst = 0.0
     done = 0
@@ -625,7 +626,7 @@ def case_parabola_chart_law(seed: int) -> CaseResult:
     return _result("parabola_chart_law", worst, 1e-10)
 
 
-def case_square_zero_energy_flat(seed: int) -> CaseResult:
+def case_square_zero_energy_flat(seed: int, tol: float) -> CaseResult:
     return _result("square_zero_energy_flat", _zero_energy_flatness(seed), ex.ZERO_TEST_THRESHOLD)
 
 
@@ -677,7 +678,7 @@ _SUITE_CASES = {
 }
 
 
-def run_suite(suite: str, seed: int = 0) -> VerifyReport:
+def run_suite(suite: str, seed: int = 0, tol: float = DEFAULT_TOL) -> VerifyReport:
     """Run one named suite; cases are sorted by name in the report."""
     if suite not in _SUITE_CASES:
         raise ValueError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")
@@ -685,15 +686,15 @@ def run_suite(suite: str, seed: int = 0) -> VerifyReport:
     cases = []
     for fn in _SUITE_CASES[suite]:
         try:
-            cases.append(fn(seed))
+            cases.append(fn(seed, tol))
         except Exception as err:  # pragma: no cover - defensive
             name = fn.__name__.removeprefix("case_")
-            cases.append(CaseResult(name, "error", None, None, detail=repr(err)))
+            cases.append(CaseResult(name, "error", None, tol, detail=repr(err)))
     cases.sort(key=lambda c: c.name)
     return VerifyReport(suite, seed, cases, time.perf_counter() - start)
 
 
-def run_suites(suite: str, seed: int = 0) -> list[VerifyReport]:
+def run_suites(suite: str, seed: int = 0, tol: float = DEFAULT_TOL) -> list[VerifyReport]:
     if suite == "all":
-        return [run_suite(s, seed) for s in SUITES]
-    return [run_suite(suite, seed)]
+        return [run_suite(s, seed, tol) for s in SUITES]
+    return [run_suite(suite, seed, tol)]

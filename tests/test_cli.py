@@ -279,6 +279,7 @@ def test_map_flags_non_finite_rows(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["envelope", "hooke", "--area", "nan"],
     ["envelope", "hooke", "--area", "inf"],
+    ["envelope", "hooke", "--area", "5e-324"],
     ["orbit", "info", "--a", "1e200", "--b", "0", "--c", "1e-200"],
     ["envelope", "minor-axis", "--b-axis", "1e-200", "--x1", "1"],
     ["envelope", "minor-axis", "--b-axis", "2", "--x1", "inf"],

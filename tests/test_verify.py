@@ -23,7 +23,7 @@ def test_nan_residual_fails_the_case(monkeypatch, case, patched):
     owner, _, name = patched.rpartition(".")
     target = getattr(vf, owner) if owner else vf
     monkeypatch.setattr(target, name, lambda *args, **kwargs: math.nan)
-    result = case(0)
+    result = case(0, vf.DEFAULT_TOL)
     assert result.status == "fail"
     assert result.residual == math.inf
 

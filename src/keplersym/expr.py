@@ -329,22 +329,33 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 
 def subst(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Substitute `replacement` for every occurrence of variable `name`."""
-    if isinstance(e, Const):
+    """Substitute `replacement` for every occurrence of variable `name`.
+
+    Each distinct node is rebuilt at most once per call, and a subexpression
+    without `name` is returned as it is.
+    """
+    return _subst(e, name, replacement, {})
+
+
+def _subst(e: Expr, name: str, new: Expr, seen: dict) -> Expr:
+    if name not in e._fv:
         return e
-    if isinstance(e, Var):
-        return replacement if e.name == name else e
-    if isinstance(e, Add):
-        return add(*(subst(t, name, replacement) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(subst(f, name, replacement) for f in e.factors))
-    if isinstance(e, Div):
-        return div(subst(e.num, name, replacement), subst(e.den, name, replacement))
-    if isinstance(e, Pow):
-        return pow_(subst(e.base, name, replacement), e.exponent)
-    if isinstance(e, Func):
-        return func(e.name, subst(e.arg, name, replacement))
-    raise TypeError(f"not an expression: {e!r}")
+    out = seen.get(e)
+    if out is None:
+        if isinstance(e, Var):
+            out = new
+        elif isinstance(e, Add):
+            out = add(*(_subst(t, name, new, seen) for t in e.terms))
+        elif isinstance(e, Mul):
+            out = mul(*(_subst(f, name, new, seen) for f in e.factors))
+        elif isinstance(e, Div):
+            out = div(_subst(e.num, name, new, seen), _subst(e.den, name, new, seen))
+        elif isinstance(e, Pow):
+            out = pow_(_subst(e.base, name, new, seen), e.exponent)
+        else:
+            out = func(e.name, _subst(e.arg, name, new, seen))
+        seen[e] = out
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class LineDualError(OrbitError):
 
 
 class BranchDomainError(OrbitError):
-    """Requested angle is outside the attractive branch domain."""
+    """Requested angle is outside the domain of the branch."""
 
 
 class FitError(OrbitError):
@@ -162,17 +162,20 @@ def rho_repelling(o: KeplerOrbit, theta: float) -> float:
     return o.a * math.cos(theta) + o.b * math.sin(theta) - o.c
 
 
-def radius(o: KeplerOrbit, theta: float) -> float:
-    p = rho(o, theta)
-    if p <= 0.0:
-        raise BranchDomainError(
-            f"theta={theta} is outside the attractive branch domain (rho={p})"
-        )
+def radius(o: KeplerOrbit, theta: float, branch: str = "attractive") -> float:
+    if branch == "attractive":
+        p = rho(o, theta)
+    elif branch == "repelling":
+        p = rho_repelling(o, theta)
+    else:
+        raise ValueError(f"unknown branch {branch!r}")
+    if p <= 0.0:  # also where rounding cancels rho of an extreme triple
+        raise BranchDomainError(f"theta={theta} is outside the {branch} branch domain (rho={p})")
     return 1.0 / p
 
 
-def point_at(o: KeplerOrbit, theta: float) -> PlanePoint:
-    r = radius(o, theta)
+def point_at(o: KeplerOrbit, theta: float, branch: str = "attractive") -> PlanePoint:
+    r = radius(o, theta, branch)
     return PlanePoint(r * math.cos(theta), r * math.sin(theta))
 
 
@@ -210,14 +213,7 @@ def sample_thetas(
 def sample(
     o: KeplerOrbit, n: int, branch: str = "attractive", delta: float = ARC_DELTA
 ) -> list[PlanePoint]:
-    pts = []
-    for t in sample_thetas(o, n, branch, delta):
-        if branch == "attractive":
-            r = 1.0 / rho(o, t)
-        else:
-            r = 1.0 / rho_repelling(o, t)
-        pts.append(PlanePoint(r * math.cos(t), r * math.sin(t)))
-    return pts
+    return [point_at(o, t, branch) for t in sample_thetas(o, n, branch, delta)]
 
 
 def contains(o: KeplerOrbit, p: PlanePoint, tol: float = 1e-9) -> Membership:
@@ -345,22 +341,24 @@ def _pericenter_time_scale(o: KeplerOrbit) -> float:
     return 2.0 * math.pi * r0 ** 1.5
 
 
-def rk4(f, y0: np.ndarray, h: float, steps: int, guard=None) -> np.ndarray:
-    """Classic fixed-step RK4 for y' = f(y); returns the (steps+1, d) states.
+def rk4(f, y0, h: float, steps: int, guard=None) -> np.ndarray:
+    """Classic fixed-step RK4 for y' = f(y) over float tuples; returns the (steps+1, d) states.
 
-    `guard(t, y)` runs before each step, t = i*h being its start time, and
-    may raise to stop the run.
+    `f` takes and returns a tuple.  `guard(t, y)` runs before each step,
+    t = i*h being its start time, and may raise to stop the run.
     """
     out = np.empty((steps + 1, len(y0)))
-    y = out[0] = y0
+    out[0] = y = tuple(map(float, y0))
+    h2, h6 = 0.5 * h, h / 6.0
     for i in range(steps):
         if guard is not None:
             guard(i * h, y)
         k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = f(tuple([a + h2 * b for a, b in zip(y, k1)]))
+        k3 = f(tuple([a + h2 * b for a, b in zip(y, k2)]))
+        k4 = f(tuple([a + h * b for a, b in zip(y, k3)]))
+        y = tuple([a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
         out[i + 1] = y
     return out
 
@@ -382,17 +380,18 @@ def newton_flow(o: KeplerOrbit, steps: int | None = None, dt: float | None = Non
             steps = 10_000
     t0 = o.pericenter_angle
     r0 = 1.0 / (math.hypot(o.a, o.b) + o.c)
-    u = np.array([math.cos(t0), math.sin(t0)])
-    v0 = (o.ang_momentum / r0) * np.array([-u[1], u[0]])
+    ux, uy = math.cos(t0), math.sin(t0)
+    v0 = o.ang_momentum / r0
 
-    def deriv(s: np.ndarray) -> np.ndarray:
-        r = math.hypot(s[0], s[1])
+    def deriv(s: tuple) -> tuple:
+        x, y, vx, vy = s
+        r = math.hypot(x, y)
         if r < 1e-9:
             raise IntegrationError("trajectory reached the attracting center")
         inv_r3 = 1.0 / (r * r * r)
-        return np.array([s[2], s[3], -s[0] * inv_r3, -s[1] * inv_r3])
+        return (vx, vy, -x * inv_r3, -y * inv_r3)
 
-    out = rk4(deriv, np.concatenate([r0 * u, v0]), dt, steps)
+    out = rk4(deriv, (r0 * ux, r0 * uy, v0 * -uy, v0 * ux), dt, steps)
     t = dt * np.arange(steps + 1)
     return Trajectory(t=t, pos=out[:, :2], vel=out[:, 2:])
 

@@ -244,14 +244,14 @@ def fixed_energy_algebra(energy: float) -> tuple[AlgebraElement, AlgebraElement,
     return (g2, g3, g4)
 
 
-def _rk4_endpoint(field, y0: np.ndarray, t: float, steps: int | None, guard=None) -> np.ndarray:
+def _rk4_endpoint(field, y0: tuple, t: float, steps: int | None, guard=None) -> np.ndarray:
     """RK4 endpoint of y' = field(y) after time t, by default in max(200, ceil(2000|t|)) steps."""
     if steps is None:
         steps = max(200, math.ceil(abs(t) * 2000))
     return rk4(field, y0, t / steps, steps, guard)[-1]
 
 
-def _plane_exit(s: float, xy: np.ndarray) -> None:
+def _plane_exit(s: float, xy: tuple) -> None:
     r = math.hypot(xy[0], xy[1])
     if r < 1e-12 or r > 1e12:
         raise FlowExitError("flow left the punctured plane", s)
@@ -265,13 +265,12 @@ def flow(x: AlgebraElement, p: PlanePoint, t: float, sheet: int = 1,
     off to infinity or into the puncture in finite time, reported as a
     flow exit with the current time estimate.
     """
-    end = _rk4_endpoint(lambda xy: np.array(vf_plane(x, PlanePoint(*xy.tolist()), sheet)),
-                        np.array([p.x, p.y]), t, steps, _plane_exit)
+    end = _rk4_endpoint(lambda xy: vf_plane(x, PlanePoint(*xy), sheet),
+                        p.as_tuple(), t, steps, _plane_exit)
     return PlanePoint(*end.tolist())
 
 
 def flow_dual(x: AlgebraElement, v: MinkVec, t: float, steps: int | None = None) -> MinkVec:
     """RK4 endpoint of the dual flow of X."""
-    end = _rk4_endpoint(lambda w: np.array(vf_dual(x, MinkVec(*w.tolist())).as_tuple()),
-                        np.array(v.as_tuple()), t, steps)
+    end = _rk4_endpoint(lambda w: vf_dual(x, MinkVec(*w)).as_tuple(), v.as_tuple(), t, steps)
     return MinkVec(*end.tolist())

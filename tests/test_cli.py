@@ -284,6 +284,9 @@ def test_map_flags_non_finite_rows(tmp_path, capsys):
     ["envelope", "minor-axis", "--b-axis", "1e-200", "--x1", "1"],
     ["envelope", "minor-axis", "--b-axis", "2", "--x1", "inf"],
     ["envelope", "energy", "--energy=-1e-300", "--x0", "1"],
+    ["envelope", "minor-axis", "--b-axis", "1e-100", "--x1", "1"],
+    ["envelope", "minor-axis", "--b-axis", "1e-150", "--x1", "1"],
+    ["orbit", "sample", "--a=-2e200", "--b", "0", "--c", "2e200", "--n", "4"],
 ])
 def test_non_finite_results_are_domain_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -399,6 +399,64 @@ def test_diff_of_a_shared_subtree_is_computed_once(monkeypatch):
     assert diff(s, "x") is d
 
 
+def _tree_subst(e, name, replacement):
+    """Reference substitution: rebuilds every occurrence of every node."""
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Var):
+        return replacement if e.name == name else e
+    if isinstance(e, Add):
+        return ex.add(*(_tree_subst(t, name, replacement) for t in e.terms))
+    if isinstance(e, Mul):
+        return ex.mul(*(_tree_subst(f, name, replacement) for f in e.factors))
+    if isinstance(e, Div):
+        return ex.div(_tree_subst(e.num, name, replacement), _tree_subst(e.den, name, replacement))
+    if isinstance(e, Pow):
+        return ex.pow_(_tree_subst(e.base, name, replacement), e.exponent)
+    return ex.func(e.name, _tree_subst(e.arg, name, replacement))
+
+
+_KIDS = {Add: lambda n: n.terms, Mul: lambda n: n.factors, Div: lambda n: (n.num, n.den),
+         Pow: lambda n: (n.base,), Func: lambda n: (n.arg,)}
+
+
+def _dag_edges(e) -> tuple[set, int]:
+    """(ids of the distinct nodes, number of parent-child edges) of the DAG under e."""
+    seen, edges, stack = set(), 0, [e]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            kids = _KIDS.get(type(n), lambda _: ())(n)
+            edges += len(kids)
+            stack.extend(kids)
+    return seen, edges
+
+
+def test_subst_matches_the_tree_walk_on_the_zero_energy_i2():
+    from keplersym import invariants as inv
+
+    i2 = inv.i2(inv.fixed_e_ode(inv.kepler_force(), inv.kepler_potential(), 0))
+    q = Var("q")
+    assert ex.subst(i2, "rho1", q) is _tree_subst(i2, "rho1", q)
+    assert ex.subst(i2, "absent", q) is i2
+
+
+def test_subst_calls_scale_with_the_dag_not_the_tree(monkeypatch):
+    x, y = Var("x"), Var("y")
+    e = x
+    for _ in range(40):  # the tree doubles per level, the DAG grows by a few nodes
+        e = ex.add(ex.mul(e, y), ex.sin(e))
+    nodes, edges = _dag_edges(e)
+    calls = []
+    real = ex._subst
+    monkeypatch.setattr(ex, "_subst", lambda n, *rest: calls.append(n) or real(n, *rest))
+    g = ex.subst(e, "x", Var("z"))
+    assert len({id(n) for n in calls}) <= len(nodes)
+    assert len(calls) <= edges + 1  # each edge is followed once, from the root
+    assert free_vars(g) == {"y", "z"}
+
+
 def test_free_vars_are_stored_on_the_node():
     e = parse("x*y + z")
     assert free_vars(e) is free_vars(e)

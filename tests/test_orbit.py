@@ -70,6 +70,11 @@ def test_radius_values():
     assert radius(from_abc(1, 0, 1), 0.0) == pytest.approx(0.5)
     with pytest.raises(BranchDomainError):
         radius(from_abc(2, 0, 1), math.pi)
+    assert radius(from_abc(2, 0, 1), 0.0, "repelling") == pytest.approx(1.0)
+    with pytest.raises(BranchDomainError):
+        radius(from_abc(2, 0, 1), math.pi / 2, "repelling")
+    with pytest.raises(ValueError, match="branch"):
+        radius(from_abc(2, 0, 1), 0.0, "sideways")
 
 
 def test_sample_on_curve():
@@ -90,6 +95,16 @@ def test_sample_repelling_branch():
         assert abs(h.a * p.x + h.b * p.y - h.c * p.r - 1.0) <= 1e-12
     with pytest.raises(BranchDomainError):
         sample(from_abc(0.5, 0, 1), 5, branch="repelling")
+
+
+@pytest.mark.parametrize("abc,branch", [
+    ((-2e200, 0.0, 2e200), "attractive"),  # the arc rounds to the full circle
+    ((1.0000000000000002e16, 0.0, 1e16), "repelling"),
+])
+def test_sample_point_at_infinity_is_a_branch_error(abc, branch):
+    # rho cancels to exactly 0 at a sampled angle of these extreme triples
+    with pytest.raises(BranchDomainError, match=rf"outside the {branch} branch domain \(rho=0.0\)"):
+        sample(from_abc(*abc), 4, branch=branch)
 
 
 def test_contains_branches():
@@ -212,6 +227,67 @@ def test_newton_flow_hyperbola_conservation():
     M = traj.ang_momenta()
     assert np.max(np.abs(E - 1.5)) <= 1e-8
     assert np.max(np.abs(np.abs(M) - 1.0)) <= 1e-10
+
+
+def _array_rk4(f, y, h, steps):
+    """Reference RK4 over numpy arrays, written apart from orbit.rk4."""
+    out = [y]
+    for _ in range(steps):
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("abc", [(0.5, -0.2, 1.0), (0.6, 0.8, 1.0), (2.0, 0.5, 1.0)])
+def test_newton_flow_matches_array_rk4(abc):
+    o = from_abc(*abc)
+    dt, steps = 2e-3, 600
+    t0 = o.pericenter_angle
+    r0 = 1.0 / (math.hypot(o.a, o.b) + o.c)
+    u = np.array([math.cos(t0), math.sin(t0)])
+    y0 = np.concatenate([r0 * u, (o.ang_momentum / r0) * np.array([-u[1], u[0]])])
+
+    def deriv(s):
+        r = math.hypot(s[0], s[1])
+        inv_r3 = 1.0 / (r * r * r)
+        return np.array([s[2], s[3], -s[0] * inv_r3, -s[1] * inv_r3])
+
+    want = _array_rk4(deriv, y0, dt, steps)
+    traj = newton_flow(o, steps=steps, dt=dt)
+    assert np.array_equal(traj.pos, want[:, :2])
+    assert np.array_equal(traj.vel, want[:, 2:])
+    assert np.array_equal(traj.t, [i * dt for i in range(steps + 1)])
+
+
+def test_rk4_returns_the_state_array_and_guards_each_step():
+    seen = []
+    out = ko.rk4(lambda y: (y[1], -y[0]), (1.0, 0.0), 0.1, 5, lambda t, y: seen.append((t, y)))
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (6, 2)
+    assert tuple(out[0]) == (1.0, 0.0)
+    assert seen == [(i * 0.1, tuple(out[i])) for i in range(5)]
+
+
+def test_rk4_guard_exception_stops_the_run():
+    class Stop(Exception):
+        pass
+
+    calls = []
+
+    def guard(t, y):
+        if t > 0.25:
+            raise Stop
+
+    def field(y):
+        calls.append(y)
+        return (y[1], -y[0])
+
+    with pytest.raises(Stop):
+        ko.rk4(field, (1.0, 0.0), 0.1, 10, guard)
+    assert len(calls) == 3 * 4  # steps starting at 0, 0.1 and 0.2 ran
 
 
 def test_conserved_matches_flow_sweep():

@@ -100,9 +100,18 @@ class KeplerOrbit:
     def eccentricity(self) -> float:
         return math.hypot(self.a, self.b) / self.c
 
+    def _scaled(self) -> tuple[float, float, float, float]:
+        """(s, a/s, b/s, c/s), s = max(|a|, |b|, c): a triple whose squares do not overflow."""
+        s = max(abs(self.a), abs(self.b), self.c)
+        return s, self.a / s, self.b / s, self.c / s
+
     @property
     def energy(self) -> float:
-        return (self.a * self.a + self.b * self.b - self.c * self.c) / (2.0 * self.c)
+        q = self.a * self.a + self.b * self.b - self.c * self.c
+        if math.isfinite(q):
+            return q / (2.0 * self.c)
+        s, a, b, c = self._scaled()  # the squares overflowed: q = s^2 (a^2 + b^2 - c^2)
+        return (a * a + b * b - c * c) * s * (s / (2.0 * self.c))
 
     @property
     def ang_momentum(self) -> float:
@@ -116,6 +125,10 @@ class KeplerOrbit:
     def conic_class(self, tol: float = CLASS_TOL) -> ConicClass:
         q = self.a * self.a + self.b * self.b - self.c * self.c
         scale = 1.0 + self.a * self.a + self.b * self.b + self.c * self.c
+        if not math.isfinite(q):  # the squares overflowed: compare both sides over s^2
+            s, a, b, c = self._scaled()
+            q = a * a + b * b - c * c
+            scale = 1.0 / s / s + a * a + b * b + c * c
         if abs(q) <= tol * scale:
             return ConicClass.PARABOLA
         return ConicClass.ELLIPSE if q < 0.0 else ConicClass.HYPERBOLA
@@ -245,7 +258,11 @@ def geometry(o: KeplerOrbit) -> OrbitGeometry:
     else:
         semi_major = 1.0 / (2.0 * abs(energy))
         q = o.c * o.c - o.a * o.a - o.b * o.b
-        semi_minor = 1.0 / math.sqrt(abs(q))
+        if math.isfinite(q):
+            semi_minor = 1.0 / math.sqrt(abs(q))
+        else:  # the squares overflowed
+            s, a, b, c = o._scaled()
+            semi_minor = 1.0 / (s * math.sqrt(abs(c * c - a * a - b * b)))
     return OrbitGeometry(
         eccentricity=e,
         semi_major=semi_major,
@@ -342,13 +359,23 @@ def _pericenter_time_scale(o: KeplerOrbit) -> float:
 
 
 def rk4(f, y0, h: float, steps: int, guard=None) -> np.ndarray:
-    """Classic fixed-step RK4 for y' = f(y) over float tuples; returns the (steps+1, d) states.
+    """Classic fixed-step RK4 for y' = f(y); returns the (steps+1, d) or (steps+1, d, n) states.
 
-    `f` takes and returns a tuple.  `guard(t, y)` runs before each step,
+    The state is a tuple of d floats, or of d equal-length numpy columns
+    that carry n systems through the same operations at once.  `f` takes
+    and returns such a tuple.  `guard(t, y)` runs before each step,
     t = i*h being its start time, and may raise to stop the run.
     """
-    out = np.empty((steps + 1, len(y0)))
-    out[0] = y = tuple(map(float, y0))
+    if not y0:
+        raise ValueError("rk4 needs a non-empty state")
+    if all(map(np.isscalar, y0)):
+        y = tuple(map(float, y0))
+    else:
+        y = tuple(np.asarray(col, dtype=float) for col in y0)
+        if len({col.shape for col in y}) != 1 or y[0].ndim != 1 or not y[0].size:
+            raise ValueError("rk4 columns must be one-dimensional, non-empty and of equal length")
+    out = np.empty((steps + 1, *np.shape(y)))
+    out[0] = y
     h2, h6 = 0.5 * h, h / 6.0
     for i in range(steps):
         if guard is not None:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .minkowski import MinkVec
 from .orbit import PlanePoint, rk4
@@ -162,9 +161,39 @@ def identity() -> GroupElement:
     return GroupElement(np.eye(4))
 
 
+# Padé-13 numerator coefficients b_0..b_13 and the 1-norm up to which the
+# approximant is accurate to double precision (Higham 2005, "The scaling and
+# squaring method for the matrix exponential revisited").
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Padé-13 scaling and squaring."""
+    norm = float(np.max(np.sum(np.abs(m), axis=0)))
+    if not math.isfinite(norm):
+        raise SymmetryError("the exponential needs a finite generator")
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = m / 2.0**s
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    eye = np.eye(len(m))
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+             + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = eye + np.linalg.solve(v - u, 2.0 * u)  # (v - u)^{-1} (v + u), exact at m = 0
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def exp_map(x: AlgebraElement, t: float = 1.0) -> GroupElement:
     """Matrix exponential of t*X, validated as a group element."""
-    return group_from_matrix(expm(t * x.matrix))
+    return group_from_matrix(_expm(t * x.matrix))
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
@@ -215,10 +244,30 @@ def vf_plane(x: AlgebraElement, p: PlanePoint, sheet: int = 1) -> tuple[float, f
     return (u[0] - p.x * u[3], u[1] - p.y * u[3])
 
 
+def _entries(x: AlgebraElement) -> tuple[float, ...]:
+    """(q, x2, ..., x7), q = x1/4: the entries that fill the generator's matrix."""
+    return (float(x.x1) / 4.0, float(x.x2), float(x.x3), float(x.x4), float(x.x5),
+            float(x.x6), float(x.x7))
+
+
+def _dual_field(m: tuple, a, b, c) -> tuple:
+    """The dual field at (a, b, c) of the generator with entries m: the first
+    three entries of w + (a, b, c, 0) w[3], w = -(a, b, c, -1) @ matrix, each
+    product's terms summed in row order.
+
+    Entries and coordinates are floats, or equal-length numpy columns that
+    evaluate many (generator, point) pairs with the same operations.
+    """
+    q, x2, x3, x4, x5, x6, x7 = m
+    w3 = -3.0 * q
+    return (a * w3 - (a * q + b * x2 + c * x3 - x5),
+            b * w3 - (b * q - a * x2 + c * x4 - x6),
+            c * w3 - (a * x3 + b * x4 + c * q - x7))
+
+
 def vf_dual(x: AlgebraElement, v: MinkVec) -> MinkVec:
     """Infinitesimal dual action: gamma'(0) for gamma(t) = pi(p e^{-tX})."""
-    w = [-c for c in (np.array([v.a, v.b, v.c, -1.0]) @ x.matrix).tolist()]
-    return MinkVec(w[0] + v.a * w[3], w[1] + v.b * w[3], w[2] + v.c * w[3])
+    return MinkVec(*_dual_field(_entries(x), v.a, v.b, v.c))
 
 
 def bracket(x1: AlgebraElement, x2: AlgebraElement) -> AlgebraElement:
@@ -274,3 +323,17 @@ def flow_dual(x: AlgebraElement, v: MinkVec, t: float, steps: int | None = None)
     """RK4 endpoint of the dual flow of X."""
     end = _rk4_endpoint(lambda w: vf_dual(x, MinkVec(*w)).as_tuple(), v.as_tuple(), t, steps)
     return MinkVec(*end.tolist())
+
+
+def flow_dual_batch(xs, vs, t: float, steps: int | None = None) -> list[MinkVec]:
+    """RK4 endpoints of the dual flows of xs[i] from vs[i], integrated in one pass.
+
+    Each endpoint equals flow_dual(xs[i], vs[i], t, steps): the columns go
+    through the same field and RK4 operations as a single flow.
+    """
+    if len(xs) != len(vs) or not xs:
+        raise ValueError("flow_dual_batch needs as many generators as starts, at least one")
+    m = tuple(np.array(col) for col in zip(*map(_entries, xs)))
+    y0 = tuple(zip(*(v.as_tuple() for v in vs)))
+    end = _rk4_endpoint(lambda w: _dual_field(m, *w), y0, t, steps)
+    return [MinkVec(*row) for row in end.T.tolist()]

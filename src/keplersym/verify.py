@@ -43,7 +43,7 @@ from .symmetry import (
     compose,
     exp_map,
     fixed_energy_algebra,
-    flow_dual,
+    flow_dual_batch,
     vf_dual,
     vf_plane,
 )
@@ -231,16 +231,20 @@ def case_one_param_subgroup(seed: int, tol: float) -> CaseResult:
 
 def case_fixed_energy_quadric(seed: int, tol: float) -> CaseResult:
     rng = _rng(seed, "fixed_energy_quadric")
-    worst = 0.0
+    energies, gens, starts = [], [], []
     for energy in (-1.0, 0.5, 2.0):
         k = abs(energy)
         for gen in fixed_energy_algebra(energy):
             for _ in range(3):
                 a, b = rng.uniform(-1.0, 1.0, size=2)
                 c = k + math.sqrt(energy * energy + a * a + b * b)
-                v = flow_dual(gen, MinkVec(float(a), float(b), float(c)), 0.8)
-                q = v.a**2 + v.b**2 - (v.c - k) ** 2
-                worst = _worst(worst, abs(q + energy * energy))
+                energies.append(energy)
+                gens.append(gen)
+                starts.append(MinkVec(float(a), float(b), float(c)))
+    worst = 0.0
+    for energy, v in zip(energies, flow_dual_batch(gens, starts, 0.8)):
+        q = v.a**2 + v.b**2 - (v.c - abs(energy)) ** 2
+        worst = _worst(worst, abs(q + energy * energy))
     return _result("fixed_energy_quadric", worst, 1e-9)
 
 

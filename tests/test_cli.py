@@ -40,6 +40,17 @@ def test_verify_symmetry_suite_passes(capsys):
         assert case["status"] == "pass"
 
 
+def test_cli_runs_without_scipy():
+    src = str(Path(keplersym.__file__).resolve().parents[1])
+    code = ("import sys; sys.modules['scipy'] = None; from keplersym.cli import main; "
+            "sys.exit(main(['verify', '--suite', 'symmetry', '--json']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["summary"]["pass"] == report["summary"]["total"] == 6
+
+
 def test_verify_reports_are_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--suite", "duality", "--seed", "3", "--json")
     code2, out2, _ = run(capsys, "verify", "--suite", "duality", "--seed", "3", "--json")
@@ -81,6 +92,15 @@ def test_orbit_info(capsys):
     assert record["E"] == -0.5
     assert record["M"] == 1.0
     assert record["class"] == "ellipse"
+
+
+def test_orbit_info_on_a_triple_whose_squares_overflow(capsys):
+    code, out, _ = run(capsys, "orbit", "info", "--a=-2e200", "--b", "0", "--c", "2e200")
+    assert code == 0
+    record = json.loads(out)
+    assert record["class"] == "parabola"
+    assert record["E"] == 0.0
+    assert record["semi_major"] is None and record["semi_minor"] is None
 
 
 def test_orbit_info_line_is_domain_error(capsys):

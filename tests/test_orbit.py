@@ -139,6 +139,33 @@ def test_geometry_parabola_has_no_axes():
     assert g.latus_rectum == pytest.approx(2.0)
 
 
+def test_extreme_triples_do_not_overflow():
+    # the squares of these triples overflow; the quadric is scaled by max(|a|, |b|, c)
+    o = from_abc(-2e200, 0.0, 2e200)
+    assert o.conic_class() is ConicClass.PARABOLA
+    assert o.energy == 0.0
+    assert geometry(o).semi_minor is None
+    o = from_abc(1e160, 0.0, 5e159)
+    assert o.conic_class() is ConicClass.HYPERBOLA
+    assert o.energy == pytest.approx(7.5e159, rel=1e-15)
+    g = geometry(o)
+    assert g.semi_major == pytest.approx(1.0 / 1.5e160, rel=1e-15)
+    assert g.semi_minor == pytest.approx(1.0 / math.sqrt(0.75e320), rel=1e-15)
+    o = from_abc(5e159, 0.0, 1e160)
+    assert o.conic_class() is ConicClass.ELLIPSE
+    assert o.energy == pytest.approx(-3.75e159, rel=1e-15)
+
+
+def test_finite_quadrics_keep_the_plain_formulas():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        o = random_orbit(rng)
+        assert o.energy == (o.a * o.a + o.b * o.b - o.c * o.c) / (2.0 * o.c)
+        if o.conic_class() is not ConicClass.PARABOLA:
+            q = o.c * o.c - o.a * o.a - o.b * o.b
+            assert geometry(o).semi_minor == 1.0 / math.sqrt(abs(q))
+
+
 def test_semi_major_energy_identity():
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -288,6 +315,30 @@ def test_rk4_guard_exception_stops_the_run():
     with pytest.raises(Stop):
         ko.rk4(field, (1.0, 0.0), 0.1, 10, guard)
     assert len(calls) == 3 * 4  # steps starting at 0, 0.1 and 0.2 ran
+
+
+def test_rk4_on_columns_runs_each_system_as_a_float_tuple_would():
+    def field(y):
+        x, v, k = y
+        return (v, -k * x - 0.1 * v * v * x, 0.0 * k)
+
+    y0 = ([1.0, -0.3, 2.5, 0.0], [0.0, 1.2, -0.7, 0.4], [1.0, 0.5, 3.0, 2.0])
+    out = ko.rk4(field, tuple(np.array(c) for c in y0), 0.05, 40)
+    assert out.shape == (41, 3, 4)
+    for i, start in enumerate(zip(*y0)):
+        assert np.array_equal(out[:, :, i], ko.rk4(field, start, 0.05, 40))
+
+
+@pytest.mark.parametrize("y0", [
+    (),
+    (np.zeros(0), np.zeros(0)),
+    (np.zeros(3), np.zeros(2)),
+    (np.zeros(2), 1.0),
+    (np.zeros((2, 2)), np.zeros((2, 2))),
+])
+def test_rk4_rejects_empty_or_mismatched_states(y0):
+    with pytest.raises(ValueError):
+        ko.rk4(lambda y: y, y0, 0.1, 3)
 
 
 def test_conserved_matches_flow_sweep():

@@ -9,6 +9,7 @@ from keplersym.minkowski import MinkVec, norm2
 from keplersym.orbit import OrbitError, PlanePoint, from_abc, membership_residual, sample
 from keplersym.symmetry import (
     J3,
+    _expm,
     AlgebraElement,
     FlowExitError,
     SymmetryError,
@@ -23,6 +24,7 @@ from keplersym.symmetry import (
     fixed_energy_algebra,
     flow,
     flow_dual,
+    flow_dual_batch,
     group_element,
     identity,
     inverse,
@@ -358,3 +360,60 @@ def test_commuting_square_small_sweep():
                 continue
             assert membership_residual(image, q.x, q.y) <= 1e-8
         checked += 1
+
+
+@pytest.mark.parametrize("bound,t_max,rel", [(0.8, 1.2, 1e-15), (3.0, 3.0, 5e-12)])
+def test_exponential_matches_scipy_expm(bound, t_max, rel):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(12)
+    for _ in range(1000):
+        x = AlgebraElement(*rng.uniform(-bound, bound, size=7))
+        t = float(rng.uniform(-t_max, t_max))
+        want = expm(t * x.matrix)
+        got = _expm(t * x.matrix)
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+        if bound < 1.0:  # larger elements can fail the group check, scipy's images too
+            assert np.array_equal(exp_map(x, t).matrix, got)
+
+
+def test_exp_map_of_zero_is_the_identity():
+    for t in (0.0, 1.0, -2.5):
+        assert np.array_equal(exp_map(algebra(), t).matrix, np.eye(4))
+
+
+def test_exp_map_rejects_non_finite_generators():
+    with pytest.raises(SymmetryError, match="finite"):
+        exp_map(algebra(x2=math.inf))
+
+
+def test_vf_dual_matches_the_matrix_product():
+    # the field is summed in Python; BLAS may round the 1x4 @ 4x4 product differently
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        x = AlgebraElement(*rng.uniform(-2.0, 2.0, size=7))
+        v = MinkVec(*rng.uniform(-3.0, 3.0, size=3))
+        w = -(np.array([v.a, v.b, v.c, -1.0]) @ x.matrix)
+        want = w[:3] + np.array(v.as_tuple()) * w[3]
+        got = np.array(vf_dual(x, v).as_tuple())
+        assert np.max(np.abs(got - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("t,steps", [(0.8, None), (-0.3, None), (0.5, 37)])
+def test_flow_dual_batch_equals_single_flows(t, steps):
+    rng = np.random.default_rng(14)
+    gens = [AlgebraElement(*rng.uniform(-0.5, 0.5, size=7)) for _ in range(20)]
+    gens += list(fixed_energy_algebra(-1.0))
+    starts = [MinkVec(*rng.uniform(-1.0, 1.0, size=2), rng.uniform(1.5, 3.0)) for _ in gens]
+    got = flow_dual_batch(gens, starts, t, steps)
+    assert got == [flow_dual(x, v, t, steps) for x, v in zip(gens, starts)]
+
+
+@pytest.mark.parametrize("xs,vs", [
+    ([], []),
+    ([algebra(x2=1.0)], []),
+    ([algebra(x2=1.0)], [MinkVec(0.1, 0.2, 1.0), MinkVec(0.3, 0.2, 1.0)]),
+])
+def test_flow_dual_batch_rejects_mismatched_or_empty_inputs(xs, vs):
+    with pytest.raises(ValueError):
+        flow_dual_batch(xs, vs, 0.5)

@@ -101,17 +101,23 @@ class KeplerOrbit:
         return math.hypot(self.a, self.b) / self.c
 
     def _scaled(self) -> tuple[float, float, float, float]:
-        """(s, a/s, b/s, c/s), s = max(|a|, |b|, c): a triple whose squares do not overflow."""
-        s = max(abs(self.a), abs(self.b), self.c)
-        return s, self.a / s, self.b / s, self.c / s
+        """(s, a/s, b/s, c/s) for the quadric formulas: s = 1 while
+        1 + a^2 + b^2 + c^2 is finite, else s = max(|a|, |b|, c), so that no
+        square of the scaled triple overflows.  At s = 1 each formula below
+        keeps its plain bits."""
+        a, b, c = self.a, self.b, self.c
+        if math.isfinite(1.0 + a * a + b * b + c * c):
+            return 1.0, a, b, c
+        s = max(abs(a), abs(b), c)
+        return s, a / s, b / s, c / s
 
     @property
     def energy(self) -> float:
-        q = self.a * self.a + self.b * self.b - self.c * self.c
-        if math.isfinite(q):
-            return q / (2.0 * self.c)
-        s, a, b, c = self._scaled()  # the squares overflowed: q = s^2 (a^2 + b^2 - c^2)
-        return (a * a + b * b - c * c) * s * (s / (2.0 * self.c))
+        s, a, b, c = self._scaled()
+        q = a * a + b * b - c * c
+        if s == 1.0:
+            return q / (2.0 * c)
+        return q * (0.5 * s) * (s / self.c)  # = q s^2 / (2c); s/c >= 1, so no factor overflows
 
     @property
     def ang_momentum(self) -> float:
@@ -123,13 +129,9 @@ class KeplerOrbit:
         return math.atan2(self.b, self.a)
 
     def conic_class(self, tol: float = CLASS_TOL) -> ConicClass:
-        q = self.a * self.a + self.b * self.b - self.c * self.c
-        scale = 1.0 + self.a * self.a + self.b * self.b + self.c * self.c
-        if not math.isfinite(q):  # the squares overflowed: compare both sides over s^2
-            s, a, b, c = self._scaled()
-            q = a * a + b * b - c * c
-            scale = 1.0 / s / s + a * a + b * b + c * c
-        if abs(q) <= tol * scale:
+        s, a, b, c = self._scaled()  # both sides over s^2
+        q = a * a + b * b - c * c
+        if abs(q) <= tol * (1.0 / s / s + a * a + b * b + c * c):
             return ConicClass.PARABOLA
         return ConicClass.ELLIPSE if q < 0.0 else ConicClass.HYPERBOLA
 
@@ -257,12 +259,8 @@ def geometry(o: KeplerOrbit) -> OrbitGeometry:
         semi_major = semi_minor = None
     else:
         semi_major = 1.0 / (2.0 * abs(energy))
-        q = o.c * o.c - o.a * o.a - o.b * o.b
-        if math.isfinite(q):
-            semi_minor = 1.0 / math.sqrt(abs(q))
-        else:  # the squares overflowed
-            s, a, b, c = o._scaled()
-            semi_minor = 1.0 / (s * math.sqrt(abs(c * c - a * a - b * b)))
+        s, a, b, c = o._scaled()
+        semi_minor = 1.0 / (s * math.sqrt(abs(c * c - a * a - b * b)))
     return OrbitGeometry(
         eccentricity=e,
         semi_major=semi_major,

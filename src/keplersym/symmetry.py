@@ -325,15 +325,15 @@ def flow_dual(x: AlgebraElement, v: MinkVec, t: float, steps: int | None = None)
     return MinkVec(*end.tolist())
 
 
-def flow_dual_batch(xs, vs, t: float, steps: int | None = None) -> list[MinkVec]:
+def flow_dual_batch(xs, vs, t: float) -> list[MinkVec]:
     """RK4 endpoints of the dual flows of xs[i] from vs[i], integrated in one pass.
 
-    Each endpoint equals flow_dual(xs[i], vs[i], t, steps): the columns go
+    Each endpoint equals flow_dual(xs[i], vs[i], t): the columns go
     through the same field and RK4 operations as a single flow.
     """
     if len(xs) != len(vs) or not xs:
         raise ValueError("flow_dual_batch needs as many generators as starts, at least one")
     m = tuple(np.array(col) for col in zip(*map(_entries, xs)))
     y0 = tuple(zip(*(v.as_tuple() for v in vs)))
-    end = _rk4_endpoint(lambda w: _dual_field(m, *w), y0, t, steps)
+    end = _rk4_endpoint(lambda w: _dual_field(m, *w), y0, t, None)
     return [MinkVec(*row) for row in end.T.tolist()]

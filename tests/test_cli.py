@@ -103,6 +103,15 @@ def test_orbit_info_on_a_triple_whose_squares_overflow(capsys):
     assert record["semi_major"] is None and record["semi_minor"] is None
 
 
+def test_orbit_info_on_a_circle_whose_doubled_c_overflows(capsys):
+    code, out, _ = run(capsys, "orbit", "info", "--a", "0", "--b", "0", "--c", "1e308")
+    assert code == 0
+    record = json.loads(out)
+    assert record["class"] == "ellipse"
+    assert record["E"] == pytest.approx(-5e307, rel=1e-15)
+    assert record["semi_minor"] == pytest.approx(1e-308, rel=1e-15)
+
+
 def test_orbit_info_line_is_domain_error(capsys):
     code, _, err = run(capsys, "orbit", "info", "--a", "1", "--b", "0", "--c", "0")
     assert code == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,20 @@ def test_extreme_triples_do_not_overflow():
     o = from_abc(5e159, 0.0, 1e160)
     assert o.conic_class() is ConicClass.ELLIPSE
     assert o.energy == pytest.approx(-3.75e159, rel=1e-15)
+    # 2c overflows here: the energy of this circle is -c/2
+    o = from_abc(0.0, 0.0, 1e308)
+    assert o.conic_class() is ConicClass.ELLIPSE
+    assert o.energy == pytest.approx(-5e307, rel=1e-15)
+    assert geometry(o).semi_minor == pytest.approx(1e-308, rel=1e-15)
+    # the quadric (-1.025e307) is finite, but 1 + a^2 + b^2 + c^2 is not
+    o = from_abc(-1e154, 0.0, 1.05e154)
+    assert o.conic_class() is ConicClass.ELLIPSE
+    a, c = Fraction(o.a), Fraction(o.c)
+    q = a * a - c * c  # exact
+    assert o.energy == pytest.approx(float(q / (2 * c)), rel=2e-15)
+    g = geometry(o)
+    assert g.semi_major == pytest.approx(float(c / -q), rel=2e-15)
+    assert g.semi_minor == pytest.approx(1.0 / math.sqrt(float(-q)), rel=2e-15)
 
 
 def test_finite_quadrics_keep_the_plain_formulas():

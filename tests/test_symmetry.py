@@ -399,14 +399,14 @@ def test_vf_dual_matches_the_matrix_product():
         assert np.max(np.abs(got - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("t,steps", [(0.8, None), (-0.3, None), (0.5, 37)])
-def test_flow_dual_batch_equals_single_flows(t, steps):
+@pytest.mark.parametrize("t", [0.8, -0.3])
+def test_flow_dual_batch_equals_single_flows(t):
     rng = np.random.default_rng(14)
     gens = [AlgebraElement(*rng.uniform(-0.5, 0.5, size=7)) for _ in range(20)]
     gens += list(fixed_energy_algebra(-1.0))
     starts = [MinkVec(*rng.uniform(-1.0, 1.0, size=2), rng.uniform(1.5, 3.0)) for _ in gens]
-    got = flow_dual_batch(gens, starts, t, steps)
-    assert got == [flow_dual(x, v, t, steps) for x, v in zip(gens, starts)]
+    got = flow_dual_batch(gens, starts, t)
+    assert got == [flow_dual(x, v, t) for x, v in zip(gens, starts)]
 
 
 @pytest.mark.parametrize("xs,vs", [

@@ -50,9 +50,9 @@ def _default_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
-    except ValueError as err:
-        raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from err
+        return _non_negative_int(raw)
+    except (ValueError, argparse.ArgumentTypeError) as err:
+        raise CliError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}") from err
 
 
 def _print_json(payload) -> None:
@@ -71,6 +71,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kepler-sym",
@@ -80,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=_non_negative_int, default=None)
     p_verify.add_argument("--json", action="store_true", help="emit the JSON report")
     p_verify.set_defaults(func=cmd_verify)
 

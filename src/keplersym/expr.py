@@ -26,7 +26,7 @@ Number = Union[Fraction, float]
 
 FUNCTIONS = ("sin", "cos", "sqrt", "ln")
 
-# Defaults for the randomized zero test.
+# The randomized zero test: threshold, sample points and seed.
 ZERO_TEST_THRESHOLD = 1e-9
 ZERO_TEST_TRIALS = 16
 ZERO_TEST_SEED = 0x5EED
@@ -570,26 +570,17 @@ def total_derivative(e: Expr, ctx: JetContext) -> Expr:
 # Randomized zero test
 # --------------------------------------------------------------------------
 
-def is_zero(
-    e: Expr,
-    box: Mapping[str, tuple[float, float]],
-    trials: int = ZERO_TEST_TRIALS,
-    threshold: float = ZERO_TEST_THRESHOLD,
-    seed: int = ZERO_TEST_SEED,
-) -> bool:
+def is_zero(e: Expr, box: Mapping[str, tuple[float, float]]) -> bool:
     """Seeded randomized test for identical vanishing on a box.
 
     True iff |value| <= threshold * (1 + largest intermediate magnitude)
     at every sampled point.  Evaluation errors propagate to the caller.
     """
-    return max_residual(e, box, trials=trials, seed=seed) <= threshold
+    return max_residual(e, box) <= ZERO_TEST_THRESHOLD
 
 
 def max_residual(
-    e: Expr,
-    box: Mapping[str, tuple[float, float]],
-    trials: int = ZERO_TEST_TRIALS,
-    seed: int = ZERO_TEST_SEED,
+    e: Expr, box: Mapping[str, tuple[float, float]], seed: int = ZERO_TEST_SEED
 ) -> float:
     """Largest scaled residual |value| / (1 + max intermediate) over samples, inf if not finite."""
     missing = free_vars(e) - set(box)
@@ -598,7 +589,7 @@ def max_residual(
     rng = random.Random(seed)
     names = sorted(box)
     worst = 0.0
-    for _ in range(max(1, trials)):
+    for _ in range(ZERO_TEST_TRIALS):
         point = {n: rng.uniform(*box[n]) for n in names}
         value, peak = evaluate_tracked(e, point)
         if not (math.isfinite(value) and math.isfinite(peak)):

@@ -38,6 +38,9 @@ GENERATOR_BOX: dict[str, tuple[float, float]] = {
 
 SINGULARITY_MARGIN = 0.1
 
+# grid points of the sign checks on the rho-only guards of the generators
+GUARD_SAMPLES = 128
+
 
 class InvariantError(Exception):
     pass
@@ -119,23 +122,16 @@ def i2(ode: SecondOrderODE) -> Expr:
     )
 
 
-def flatness_residual(ode: SecondOrderODE, trials: int = 16, seed: int = ex.ZERO_TEST_SEED) -> float:
+def flatness_residual(ode: SecondOrderODE, seed: int = ex.ZERO_TEST_SEED) -> float:
     """Largest scaled residual of the two invariants over the box."""
-    r1 = max_residual(i1(ode), ode.box, trials=trials, seed=seed)
-    r2 = max_residual(i2(ode), ode.box, trials=trials, seed=seed)
+    r1 = max_residual(i1(ode), ode.box, seed=seed)
+    r2 = max_residual(i2(ode), ode.box, seed=seed)
     return max(r1, r2)
 
 
-def is_flat(
-    ode: SecondOrderODE,
-    trials: int = 16,
-    threshold: float = ex.ZERO_TEST_THRESHOLD,
-    seed: int = ex.ZERO_TEST_SEED,
-) -> bool:
+def is_flat(ode: SecondOrderODE) -> bool:
     """Both relative invariants vanish identically on the box."""
-    return is_zero(i1(ode), ode.box, trials=trials, threshold=threshold, seed=seed) and is_zero(
-        i2(ode), ode.box, trials=trials, threshold=threshold, seed=seed
-    )
+    return is_zero(i1(ode), ode.box) and is_zero(i2(ode), ode.box)
 
 
 # --------------------------------------------------------------------------
@@ -179,7 +175,7 @@ def _force_of_rho(force: Expr) -> Expr:
     return ex.subst(force, "r", ex.div(1, Var("rho")))
 
 
-def fixed_m_ode(force: Expr, m: float, box: Box | None = None) -> SecondOrderODE:
+def fixed_m_ode(force: Expr, m: float) -> SecondOrderODE:
     """Orbit ODE of a central force at fixed angular momentum:
     rho'' = -f(1/rho) / (M^2 rho^2) - rho, in jet variables (theta, rho, rho1)."""
     if m == 0:
@@ -187,7 +183,7 @@ def fixed_m_ode(force: Expr, m: float, box: Box | None = None) -> SecondOrderODE
     m2 = _as_number(m) ** 2
     rho = Var("rho")
     rhs = ex.sub(ex.neg(ex.div(_force_of_rho(force), ex.mul(m2, ex.pow_(rho, 2)))), rho)
-    return SecondOrderODE(rhs, dict(box or GENERATOR_BOX), x="theta", y="rho", p="rho1")
+    return SecondOrderODE(rhs, dict(GENERATOR_BOX), x="theta", y="rho", p="rho1")
 
 
 def fixed_e_ode(force: Expr, potential: Expr, energy, box: Box | None = None) -> SecondOrderODE:
@@ -209,7 +205,7 @@ def fixed_e_ode(force: Expr, potential: Expr, energy, box: Box | None = None) ->
     return ode
 
 
-def _grid_values(e: Expr, box: Box, samples: int) -> list[tuple[float, float]]:
+def _grid_values(e: Expr, box: Box) -> list[tuple[float, float]]:
     # expressions guarded here depend on rho alone
     names = sorted(ex.free_vars(e))
     if not names:
@@ -217,19 +213,19 @@ def _grid_values(e: Expr, box: Box, samples: int) -> list[tuple[float, float]]:
     (name,) = names
     lo, hi = box[name]
     out = []
-    for i in range(samples):
-        x = lo + (hi - lo) * i / (samples - 1)
+    for i in range(GUARD_SAMPLES):
+        x = lo + (hi - lo) * i / (GUARD_SAMPLES - 1)
         out.append((x, ex.evaluate(e, {name: x})))
     return out
 
 
-def _check_positive(e: Expr, box: Box, samples: int = 128):
-    for x, v in _grid_values(e, box, samples):
+def _check_positive(e: Expr, box: Box):
+    for x, v in _grid_values(e, box):
         if v <= 0.0:
             raise InvariantError(f"E - V is not positive on the box (at rho={x})")
 
 
-def central_3rd_order(force_rho: Expr, box: Box | None = None) -> ThirdOrderODE:
+def central_3rd_order(force_rho: Expr) -> ThirdOrderODE:
     """3rd-order ODE of the full orbit family of a central force, with the
     force given as a function of rho = 1/r:
     rho''' = rho' [ (rho'' + rho)(f'(rho)/f(rho) - 2/rho) - 1 ]."""
@@ -240,13 +236,13 @@ def central_3rd_order(force_rho: Expr, box: Box | None = None) -> ThirdOrderODE:
     f_prime = diff(force_rho, "rho")
     bracket = ex.sub(ex.div(f_prime, force_rho), ex.div(2, rho))
     rhs = ex.mul(rho1, ex.sub(ex.mul(ex.add(rho2, rho), bracket), ex.const(1)))
-    full_box = dict(box or WUNSCHMANN_BOX)
-    _check_nonvanishing(force_rho, full_box)
-    return ThirdOrderODE(rhs, full_box)
+    box = dict(WUNSCHMANN_BOX)
+    _check_nonvanishing(force_rho, box)
+    return ThirdOrderODE(rhs, box)
 
 
-def _check_nonvanishing(e: Expr, box: Box, samples: int = 128):
-    values = _grid_values(e, box, samples)
+def _check_nonvanishing(e: Expr, box: Box):
+    values = _grid_values(e, box)
     signs = {math.copysign(1.0, v) for _, v in values if v != 0.0}
     if len(signs) > 1 or any(abs(v) <= 1e-9 * (1.0 + abs(x)) for x, v in values):
         raise InvariantError("force vanishes inside the box")
@@ -297,13 +293,7 @@ def _scan_sign(alpha) -> int:
     return -1 if alpha <= -1 else 1
 
 
-def power_law_scan(
-    alphas: Sequence,
-    which: str,
-    trials: int = 16,
-    threshold: float = ex.ZERO_TEST_THRESHOLD,
-    seed: int = ex.ZERO_TEST_SEED,
-) -> list[ScanRow]:
+def power_law_scan(alphas: Sequence, which: str, seed: int = ex.ZERO_TEST_SEED) -> list[ScanRow]:
     """Per-exponent flatness/Wunschmann table for forces +/- r^alpha.
 
     `passed` means the tested residual vanishes identically (flat family,
@@ -317,37 +307,29 @@ def power_law_scan(
         if which == "wunschmann":
             force_rho = ex.pow_(Var("rho"), -a if isinstance(a, Fraction) else -float(a))
             ode3 = central_3rd_order(force_rho)
-            residual = max_residual(wunschmann_residual(ode3), ode3.box, trials=trials, seed=seed)
+            residual = max_residual(wunschmann_residual(ode3), ode3.box, seed=seed)
         elif which == "fixedM-flat":
             ode = fixed_m_ode(power_force(a), 1)
-            residual = flatness_residual(ode, trials=trials, seed=seed)
+            residual = flatness_residual(ode, seed=seed)
         elif which == "fixedE-flat":
             sign = _scan_sign(a)
             ode = fixed_e_ode(power_force(a, sign), power_potential(a, sign), 1)
-            residual = flatness_residual(ode, trials=trials, seed=seed)
+            residual = flatness_residual(ode, seed=seed)
         else:  # zeroE-flat
             sign = _scan_sign(a)
             ode = fixed_e_ode(power_force(a, sign), power_potential(a, sign), 0, box=ZERO_E_BOX)
-            residual = flatness_residual(ode, trials=trials, seed=seed)
-        rows.append(ScanRow(float(alpha), residual <= threshold, residual))
+            residual = flatness_residual(ode, seed=seed)
+        rows.append(ScanRow(float(alpha), residual <= ex.ZERO_TEST_THRESHOLD, residual))
     return rows
 
 
-def kepler_fixed_e_boxes(
-    energy: float,
-    lo: float = 0.5,
-    hi: float = 3.0,
-    margin: float = SINGULARITY_MARGIN,
-    rho1: tuple[float, float] = (-1.0, 1.0),
-) -> list[dict[str, tuple[float, float]]]:
-    """Evaluation boxes for the fixed-energy family, excluding a margin
-    around the invariant's pole at rho = -E (and rho = 0)."""
-    lo = max(lo, margin)
-    pole = -energy
-    boxes = []
+def kepler_fixed_e_boxes(energy: float) -> list[dict[str, tuple[float, float]]]:
+    """Evaluation boxes for the fixed-energy family: the generator box,
+    cut by a margin around the invariant's pole at rho = -E."""
+    lo, hi = GENERATOR_BOX["rho"]
+    rho1 = GENERATOR_BOX["rho1"]
+    pole, margin = -energy, SINGULARITY_MARGIN
     if lo < pole - margin and pole + margin < hi:
-        boxes.append({"rho": (lo, pole - margin), "rho1": rho1})
-        boxes.append({"rho": (pole + margin, hi), "rho1": rho1})
-    else:
-        boxes.append({"rho": (lo, hi), "rho1": rho1})
-    return boxes
+        return [{"rho": (lo, pole - margin), "rho1": rho1},
+                {"rho": (pole + margin, hi), "rho1": rho1}]
+    return [{"rho": (lo, hi), "rho1": rho1}]

@@ -24,6 +24,19 @@ class SingularRadiusError(MapError):
 SINGULAR_TOL = 1e-12
 
 
+def _m_squared(m: float) -> float:
+    """M^2, which must be positive and finite, and so must 1/M^2."""
+    m2 = m * m
+    if not (0.0 < m2 < math.inf and 1.0 / m2 < math.inf):
+        raise MapError(f"angular momentum m={m!r} needs M^2 and 1/M^2 positive and finite")
+    return m2
+
+
+def _check_energy(energy: float) -> None:
+    if not 0.0 < energy < math.inf:
+        raise MapError(f"embedding is defined for finite positive energy, got energy={energy!r}")
+
+
 def square(p: PlanePoint) -> PlanePoint:
     """Complex squaring (x, y) -> (x^2 - y^2, 2 x y).
 
@@ -44,9 +57,7 @@ def square_line_image(angle: float, distance: float) -> KeplerOrbit:
 
 def flatten_m(p: PlanePoint, m: float) -> PlanePoint:
     """Radial map r -> r / (1 - r / M^2); straightens orbits with |M| = m."""
-    if m == 0.0:
-        raise MapError("angular momentum must be nonzero")
-    denom = 1.0 - p.r / (m * m)
+    denom = 1.0 - p.r / _m_squared(m)
     if abs(denom) <= SINGULAR_TOL:
         raise SingularRadiusError(f"radius {p.r} sits on the singular circle r = M^2")
     return PlanePoint(p.x / denom, p.y / denom)
@@ -54,24 +65,20 @@ def flatten_m(p: PlanePoint, m: float) -> PlanePoint:
 
 def flatten_m_dual(v: MinkVec, m: float) -> MinkVec:
     """Dual predictor: vertical translation c -> c - 1/M^2."""
-    if m == 0.0:
-        raise MapError("angular momentum must be nonzero")
-    return MinkVec(v.a, v.b, v.c - 1.0 / (m * m))
+    return MinkVec(v.a, v.b, v.c - 1.0 / _m_squared(m))
 
 
 def hill_embed(p: PlanePoint, energy: float) -> PlanePoint:
     """Radial map r -> r / (1 + 2 E r) embedding the energy-E Hill region
     (E > 0) into the energy -E one."""
-    if energy <= 0.0:
-        raise MapError("embedding is defined for positive energy")
+    _check_energy(energy)
     denom = 1.0 + 2.0 * energy * p.r
     return PlanePoint(p.x / denom, p.y / denom)
 
 
 def hill_dual(o: KeplerOrbit, energy: float) -> KeplerOrbit:
     """Dual predictor in canonical coordinates: (a, b, c) -> (a, b, c + 2E)."""
-    if energy <= 0.0:
-        raise MapError("embedding is defined for positive energy")
+    _check_energy(energy)
     return KeplerOrbit(o.a, o.b, o.c + 2.0 * energy)
 
 
@@ -83,8 +90,7 @@ def reflect_dual_signed(v: MinkVec, energy: float) -> MinkVec:
 
 def repel_embed(p: PlanePoint, energy: float) -> PlanePoint:
     """Radial map r -> r / (1 - 2 E r) for repelling-branch points."""
-    if energy <= 0.0:
-        raise MapError("embedding is defined for positive energy")
+    _check_energy(energy)
     denom = 1.0 - 2.0 * energy * p.r
     if abs(denom) <= SINGULAR_TOL:
         raise SingularRadiusError(f"radius {p.r} sits on the singular circle r = 1/(2E)")

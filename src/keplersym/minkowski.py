@@ -79,24 +79,24 @@ def norm2(v: MinkVec) -> float:
     return v.a * v.a + v.b * v.b - v.c * v.c
 
 
-def classify_vector(v: MinkVec, tol: float = NULL_TOL) -> CausalType:
+def classify_vector(v: MinkVec) -> CausalType:
     """Causal type of a nonzero vector, with a relative null band."""
     if v.euclid2() == 0.0:
         raise MinkowskiError("cannot classify the zero vector")
     q = norm2(v)
-    band = tol * (1.0 + v.euclid2())
+    band = NULL_TOL * (1.0 + v.euclid2())
     if abs(q) <= band:
         return CausalType.NULL
     return CausalType.SPACELIKE if q > 0.0 else CausalType.TIMELIKE
 
 
-def classify_plane(p: MinkPlane, tol: float = NULL_TOL) -> PlaneType:
+def classify_plane(p: MinkPlane) -> PlaneType:
     """Signature of the form restricted to the plane, read off its normal.
 
     Null normal -> parabolic (degenerate restriction), timelike normal ->
     elliptic, spacelike normal -> hyperbolic.
     """
-    kind = classify_vector(p.normal, tol)
+    kind = classify_vector(p.normal)
     if kind is CausalType.NULL:
         return PlaneType.PARABOLIC
     if kind is CausalType.TIMELIKE:
@@ -123,7 +123,7 @@ class PencilClass:
     common_points: int  # predicted intersections of the two member conics
 
 
-def pencil_classify(v1: MinkVec, v2: MinkVec, tol: float = NULL_TOL) -> PencilClass:
+def pencil_classify(v1: MinkVec, v2: MinkVec) -> PencilClass:
     """Causal type of the chord v2 - v1 and the predicted intersection count.
 
     Spacelike, null and timelike chords predict 2, 1 and 0 common points
@@ -133,6 +133,6 @@ def pencil_classify(v1: MinkVec, v2: MinkVec, tol: float = NULL_TOL) -> PencilCl
     d = v2 - v1
     if d.euclid2() == 0.0:
         raise MinkowskiError("pencil needs two distinct points")
-    kind = classify_vector(d, tol)
+    kind = classify_vector(d)
     count = {CausalType.SPACELIKE: 2, CausalType.NULL: 1, CausalType.TIMELIKE: 0}[kind]
     return PencilClass(kind, count)

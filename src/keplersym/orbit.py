@@ -128,10 +128,10 @@ class KeplerOrbit:
     def pericenter_angle(self) -> float:
         return math.atan2(self.b, self.a)
 
-    def conic_class(self, tol: float = CLASS_TOL) -> ConicClass:
+    def conic_class(self) -> ConicClass:
         s, a, b, c = self._scaled()  # both sides over s^2
         q = a * a + b * b - c * c
-        if abs(q) <= tol * (1.0 / s / s + a * a + b * b + c * c):
+        if abs(q) <= CLASS_TOL * (1.0 / s / s + a * a + b * b + c * c):
             return ConicClass.PARABOLA
         return ConicClass.ELLIPSE if q < 0.0 else ConicClass.HYPERBOLA
 
@@ -281,7 +281,7 @@ class FitResult:
     line: tuple[float, float] | None = None  # a x + b y = 1
 
 
-def fit(points, line_tol: float = LINE_C_TOL) -> FitResult:
+def fit(points) -> FitResult:
     """Least-squares dual triple through plane points.
 
     Minimizes sum (a x_i + b y_i + c r_i - 1)^2.  A solution with |c|
@@ -302,7 +302,7 @@ def fit(points, line_tol: float = LINE_C_TOL) -> FitResult:
         raise FitError("degenerate point set (rank-deficient system)")
     a, b, c = (float(v) for v in sol)
     residual = float(np.max(np.abs(design @ sol - 1.0)))
-    if abs(c) <= line_tol * math.hypot(a, b):
+    if abs(c) <= LINE_C_TOL * math.hypot(a, b):
         return FitResult("line", (a, b, c), residual, line=(a, b))
     return FitResult("orbit", (a, b, c), residual, orbit=from_abc(a, b, c))
 

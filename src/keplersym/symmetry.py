@@ -96,13 +96,13 @@ def basis() -> list[AlgebraElement]:
     return out
 
 
-def algebra_from_matrix(m: np.ndarray, tol: float = BLOCK_TOL) -> AlgebraElement:
+def algebra_from_matrix(m: np.ndarray) -> AlgebraElement:
     """Re-express a 4x4 matrix in (x1..x7); error if it leaves the space."""
     m = np.asarray(m, dtype=float)
     x1 = 4.0 * m[0, 0]
     cand = AlgebraElement(x1, m[1, 0], m[2, 0], m[2, 1], m[3, 0], m[3, 1], m[3, 2])
     scale = 1.0 + float(np.max(np.abs(m)))
-    if float(np.max(np.abs(cand.matrix - m))) > tol * scale:
+    if float(np.max(np.abs(cand.matrix - m))) > BLOCK_TOL * scale:
         raise SymmetryError("matrix leaves the 7-parameter algebra")
     return cand
 
@@ -142,17 +142,17 @@ def group_element(A: np.ndarray, b: np.ndarray, lam: float) -> GroupElement:
     return group_from_matrix(m)
 
 
-def group_from_matrix(m: np.ndarray, tol: float = BLOCK_TOL) -> GroupElement:
+def group_from_matrix(m: np.ndarray) -> GroupElement:
     m = np.array(m, dtype=float)
     scale = 1.0 + float(np.max(np.abs(m)))
-    if float(np.max(np.abs(m[:3, 3]))) > tol * scale:
+    if float(np.max(np.abs(m[:3, 3]))) > BLOCK_TOL * scale:
         raise SymmetryError("upper-right block must vanish")
     if m[3, 3] == 0.0:
         raise SymmetryError("lam must be nonzero")
     A = m[:3, :3]
     g = A.T @ J3 @ A
     kappa = g[0, 0]
-    if kappa == 0.0 or float(np.max(np.abs(g - kappa * J3))) > tol * (1.0 + abs(kappa)):
+    if kappa == 0.0 or float(np.max(np.abs(g - kappa * J3))) > BLOCK_TOL * (1.0 + abs(kappa)):
         raise SymmetryError("A block is not conformal-Lorentz")
     return GroupElement(m)
 
@@ -319,9 +319,9 @@ def flow(x: AlgebraElement, p: PlanePoint, t: float, sheet: int = 1,
     return PlanePoint(*end.tolist())
 
 
-def flow_dual(x: AlgebraElement, v: MinkVec, t: float, steps: int | None = None) -> MinkVec:
+def flow_dual(x: AlgebraElement, v: MinkVec, t: float) -> MinkVec:
     """RK4 endpoint of the dual flow of X."""
-    end = _rk4_endpoint(lambda w: vf_dual(x, MinkVec(*w)).as_tuple(), v.as_tuple(), t, steps)
+    end = _rk4_endpoint(lambda w: vf_dual(x, MinkVec(*w)).as_tuple(), v.as_tuple(), t, None)
     return MinkVec(*end.tolist())
 
 

@@ -43,6 +43,12 @@ class UncertifiedRegimeError(TheoremError):
     """Nestedness is only certified for ellipse pairs."""
 
 
+ARC_MARGIN = 1e-3  # orbit_curve keeps to the arc rho > ARC_MARGIN
+VERTEX_GRID = 2048  # kepler_vertices scans this grid before bisecting
+NESTED_GRID = 4096  # nested reads the sign of the gap at this many angles
+TANGENCY_SAMPLES = 4001  # tangency_report locates the contact on this many samples
+
+
 # --------------------------------------------------------------------------
 # Parametric curves
 # --------------------------------------------------------------------------
@@ -128,8 +134,8 @@ def polar_graph_curve(
     return ParametricCurve(fn=fn, d1=d1, d2=d2, domain=(0.0, 2.0 * math.pi), closed=True)
 
 
-def orbit_curve(o: KeplerOrbit, margin: float = 1e-3) -> ParametricCurve:
-    """Attractive branch as a parametric curve over its arc rho > margin."""
+def orbit_curve(o: KeplerOrbit) -> ParametricCurve:
+    """Attractive branch as a parametric curve over its arc rho > ARC_MARGIN."""
 
     def dp(t):
         return -o.a * math.sin(t) + o.b * math.cos(t)
@@ -145,7 +151,7 @@ def orbit_curve(o: KeplerOrbit, margin: float = 1e-3) -> ParametricCurve:
 
     curve = polar_graph_curve(lambda t: 1.0 / orbit_rho(o, t), dr, d2r)
     t0 = o.pericenter_angle
-    w = arc_half_width(o, "attractive", margin)
+    w = arc_half_width(o, "attractive", ARC_MARGIN)
     if w is None:
         return replace(curve, domain=(t0, t0 + 2.0 * math.pi))
     return replace(curve, domain=(t0 - w + 1e-9, t0 + w - 1e-9), closed=False)
@@ -261,7 +267,7 @@ def _dual_curvature(curve: ParametricCurve) -> Callable[[float], float]:
     return kappa
 
 
-def kepler_vertices(curve: ParametricCurve, grid: int = 2048) -> list[float]:
+def kepler_vertices(curve: ParametricCurve) -> list[float]:
     """Parameters where the osculating orbit hyperosculates.
 
     Implemented as curvature extrema of the dual curve (duality preserves
@@ -279,20 +285,20 @@ def kepler_vertices(curve: ParametricCurve, grid: int = 2048) -> list[float]:
     def dkappa(t: float) -> float:
         return (kappa(t + h) - kappa(t - h)) / (2.0 * h)
 
-    ts = np.linspace(t0, t1, grid, endpoint=False)
+    ts = np.linspace(t0, t1, VERTEX_GRID, endpoint=False)
     kvals = np.array([kappa(t) for t in ts])
     if np.max(kvals) - np.min(kvals) <= 1e-8 * (1.0 + np.max(np.abs(kvals))):
         raise DegenerateCurveError("dual curvature is constant: curve is a Kepler orbit")
     dvals = np.array([dkappa(t) for t in ts])
     roots: list[float] = []
-    for i in range(grid):
-        j = (i + 1) % grid
+    for i in range(VERTEX_GRID):
+        j = (i + 1) % VERTEX_GRID
         a, b = dvals[i], dvals[j]
         if a == 0.0:
             roots.append(float(ts[i]))
             continue
         if a * b < 0.0:
-            lo, hi = float(ts[i]), float(ts[i]) + span / grid
+            lo, hi = float(ts[i]), float(ts[i]) + span / VERTEX_GRID
             flo = a
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
@@ -315,7 +321,7 @@ def kepler_vertices(curve: ParametricCurve, grid: int = 2048) -> list[float]:
     return out
 
 
-def nested(o1: KeplerOrbit, o2: KeplerOrbit, grid: int = 4096) -> bool:
+def nested(o1: KeplerOrbit, o2: KeplerOrbit) -> bool:
     """Two Kepler ellipses are nested iff they are disjoint.
 
     Decided by the sign of the inverse-radius gap over a dense angle
@@ -323,7 +329,7 @@ def nested(o1: KeplerOrbit, o2: KeplerOrbit, grid: int = 4096) -> bool:
     """
     if o1.conic_class() is not ConicClass.ELLIPSE or o2.conic_class() is not ConicClass.ELLIPSE:
         raise UncertifiedRegimeError("nestedness is certified for ellipse pairs only")
-    theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, NESTED_GRID, endpoint=False)
     gap = (
         (o1.a - o2.a) * np.cos(theta)
         + (o1.b - o2.b) * np.sin(theta)
@@ -527,14 +533,14 @@ class TangencyReport:
         return max(abs(self.value), abs(self.slope))
 
 
-def tangency_report(member: KeplerOrbit, envelope: KeplerOrbit, samples: int = 4001) -> TangencyReport:
+def tangency_report(member: KeplerOrbit, envelope: KeplerOrbit) -> TangencyReport:
     """Double-root test for tangency of a family member to the envelope.
 
     Evaluates h(theta) = a x + b y + c r - 1 of the envelope along the
     member's attractive branch, locates the minimum of |h| and reports
     the residual, its slope, and whether the root has even multiplicity.
     """
-    thetas = np.asarray(sample_thetas(member, samples))
+    thetas = np.asarray(sample_thetas(member, TANGENCY_SAMPLES))
     p = member.a * np.cos(thetas) + member.b * np.sin(thetas) + member.c
     r = 1.0 / p
     x = r * np.cos(thetas)

@@ -6,6 +6,13 @@ rational arithmetic) and compares it against a pinned tolerance.  All
 randomness flows from a single seed; case order and JSON output are
 deterministic, so reports with the same seed are byte-identical apart
 from the wall-time field.
+
+To add a case, write `case_<name>(seed, rng)` under `@case(suite, tol=...)`,
+which registers it and pins its tolerance; the report calls it `<name>`,
+and `rng` is seeded from the seed and that name.  The body returns its
+residual, or `(residual, detail)`, and passes when the residual is at most
+`tol` (NaN fails).  It raises `CaseFailed(residual, detail)` to fail
+whatever the residual; any other exception is the `error` verdict.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ from .symmetry import (
     vf_plane,
 )
 
-DEFAULT_TOL = 1e-8
 SUITES = ("symmetry", "duality", "invariants", "theorems", "maps")
 
 
@@ -105,9 +111,41 @@ def _rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
-def _result(name: str, residual: float, tol: float, detail: str = "") -> CaseResult:
-    status = "pass" if residual <= tol else "fail"
-    return CaseResult(name, status, float(residual), tol, detail)
+class CaseFailed(Exception):
+    """`CaseFailed(residual, detail)`: the case fails whatever the residual."""
+
+
+# suite -> its cases in definition order, the module-level `case_<name>` objects
+_SUITE_CASES: dict[str, list] = {suite: [] for suite in SUITES}
+
+
+def case(suite: str, tol: float):
+    """Register `case_<name>(seed, rng)` in `suite`, judged against `tol`.
+
+    The module-level name is bound to the registered function, which
+    takes `(seed, tol=<pinned>)` and returns a `CaseResult`.
+    """
+
+    def register(body):
+        name = body.__name__.removeprefix("case_")
+
+        @functools.wraps(body)
+        def run(seed: int, tol: float = tol) -> CaseResult:
+            try:
+                out = body(seed, _rng(seed, name))
+            except CaseFailed as failed:
+                residual, detail = failed.args
+                return CaseResult(name, "fail", float(residual), tol, detail)
+            except Exception as err:  # a broken case is reported, not raised
+                return CaseResult(name, "error", None, tol, detail=repr(err))
+            residual, detail = out if isinstance(out, tuple) else (out, "")
+            status = "pass" if residual <= tol else "fail"
+            return CaseResult(name, status, float(residual), tol, detail)
+
+        _SUITE_CASES[suite].append(run)
+        return run
+
+    return register
 
 
 def _worst(*residuals: float) -> float:
@@ -151,8 +189,8 @@ _DUAL_FIELDS = [
 ]
 
 
-def case_vf_plane_closed_forms(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "vf_plane_closed_forms")
+@case("symmetry", tol=1e-12)
+def case_vf_plane_closed_forms(seed: int, rng) -> float:
     gens = basis()
     worst = 0.0
     for _ in range(200):
@@ -165,11 +203,11 @@ def case_vf_plane_closed_forms(seed: int, tol: float) -> CaseResult:
             want = field(x, y, p.r)
             err = math.hypot(got[0] - want[0], got[1] - want[1]) / (1.0 + math.hypot(*want))
             worst = _worst(worst, err)
-    return _result("vf_plane_closed_forms", worst, 1e-12)
+    return worst
 
 
-def case_vf_dual_closed_forms(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "vf_dual_closed_forms")
+@case("symmetry", tol=1e-12)
+def case_vf_dual_closed_forms(seed: int, rng) -> float:
     gens = basis()
     worst = 0.0
     for _ in range(200):
@@ -180,11 +218,11 @@ def case_vf_dual_closed_forms(seed: int, tol: float) -> CaseResult:
             want = field(a, b, c)
             err = _worst(*(abs(g - w) for g, w in zip(got, want))) / (1.0 + max(map(abs, want)))
             worst = _worst(worst, err)
-    return _result("vf_dual_closed_forms", worst, 1e-12)
+    return worst
 
 
-def case_commuting_square(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "commuting_square")
+@case("symmetry", tol=1e-8)
+def case_commuting_square(seed: int, rng) -> tuple[float, str]:
     worst = 0.0
     chart_exits = 0
     checked = 0
@@ -201,10 +239,11 @@ def case_commuting_square(seed: int, tol: float) -> CaseResult:
                 continue
             worst = _worst(worst, membership_residual(image, q.x, q.y))
         checked += 1
-    return _result("commuting_square", worst, tol, detail=f"chart_exits={chart_exits}")
+    return worst, f"chart_exits={chart_exits}"
 
 
-def case_bracket_closure(seed: int, tol: float) -> CaseResult:
+@case("symmetry", tol=1e-6)
+def case_bracket_closure(seed: int, rng) -> float:
     gens = basis()
     flat = [g.matrix.ravel() for g in gens]
     worst = 0.0
@@ -214,11 +253,11 @@ def case_bracket_closure(seed: int, tol: float) -> CaseResult:
             stack = np.vstack(flat + [br.matrix.ravel()])
             s = np.linalg.svd(stack, compute_uv=False)
             worst = _worst(worst, s[7] / s[6])  # singular-value gap >= 1e6
-    return _result("bracket_closure", worst, 1e-6)
+    return worst
 
 
-def case_one_param_subgroup(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "one_param_subgroup")
+@case("symmetry", tol=1e-11)
+def case_one_param_subgroup(seed: int, rng) -> float:
     worst = 0.0
     for _ in range(20):
         x = AlgebraElement(*rng.uniform(-0.8, 0.8, size=7))
@@ -226,11 +265,11 @@ def case_one_param_subgroup(seed: int, tol: float) -> CaseResult:
         g = compose(exp_map(x, float(t1)), exp_map(x, float(t2)))
         h = exp_map(x, float(t1 + t2))
         worst = _worst(worst, float(np.max(np.abs(g.matrix - h.matrix))))
-    return _result("one_param_subgroup", worst, 1e-11)
+    return worst
 
 
-def case_fixed_energy_quadric(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "fixed_energy_quadric")
+@case("symmetry", tol=1e-9)
+def case_fixed_energy_quadric(seed: int, rng) -> float:
     energies, gens, starts = [], [], []
     for energy in (-1.0, 0.5, 2.0):
         k = abs(energy)
@@ -245,15 +284,15 @@ def case_fixed_energy_quadric(seed: int, tol: float) -> CaseResult:
     for energy, v in zip(energies, flow_dual_batch(gens, starts, 0.8)):
         q = v.a**2 + v.b**2 - (v.c - abs(energy)) ** 2
         worst = _worst(worst, abs(q + energy * energy))
-    return _result("fixed_energy_quadric", worst, 1e-9)
+    return worst
 
 
 # --------------------------------------------------------------------------
 # duality suite
 # --------------------------------------------------------------------------
 
-def case_dual_curve_agreement(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "dual_curve_agreement")
+@case("duality", tol=1e-8)
+def case_dual_curve_agreement(seed: int, rng) -> float:
     worst = 0.0
     for _ in range(20):
         o = _random_orbit(rng)
@@ -263,11 +302,11 @@ def case_dual_curve_agreement(seed: int, tol: float) -> CaseResult:
         for t in np.linspace(lo + 1e-3, hi - 1e-3, 20):
             a, b = th.dual_point_of_tangent(curve, float(t))
             worst = _worst(worst, abs(math.hypot(a - circle.cx, b - circle.cy) - circle.radius))
-    return _result("dual_curve_agreement", worst, tol)
+    return worst
 
 
-def case_parabolic_point_planes(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "parabolic_point_planes")
+@case("duality", tol=0.5)
+def case_parabolic_point_planes(seed: int, rng) -> float:
     failures = 0
     for _ in range(100):
         x, y = rng.uniform(-5.0, 5.0, size=2)
@@ -275,11 +314,11 @@ def case_parabolic_point_planes(seed: int, tol: float) -> CaseResult:
             continue
         if classify_plane(point_plane(float(x), float(y))) is not PlaneType.PARABOLIC:
             failures += 1
-    return _result("parabolic_point_planes", float(failures), 0.5)
+    return float(failures)
 
 
-def case_ellipse_pencil_counts(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "ellipse_pencil_counts")
+@case("duality", tol=0.5)
+def case_ellipse_pencil_counts(seed: int, rng) -> float:
     failures = 0
     done = 0
     while done < 100:
@@ -297,7 +336,7 @@ def case_ellipse_pencil_counts(seed: int, tol: float) -> CaseResult:
         if predicted != observed:
             failures += 1
         done += 1
-    return _result("ellipse_pencil_counts", float(failures), 0.5)
+    return float(failures)
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +348,8 @@ def _kepler_fixed_e(energy: float) -> inv.SecondOrderODE:
     return inv.fixed_e_ode(inv.kepler_force(), inv.kepler_potential(), energy, box=box)
 
 
-def case_fixed_e_i2_closed_form(seed: int, tol: float) -> CaseResult:
+@case("invariants", tol=1e-10)
+def case_fixed_e_i2_closed_form(seed: int, rng) -> float:
     from .expr import Var
 
     worst = 0.0
@@ -322,26 +362,29 @@ def case_fixed_e_i2_closed_form(seed: int, tol: float) -> CaseResult:
         gap = ex.sub(inv.i2(ode), closed)
         for box in inv.kepler_fixed_e_boxes(float(energy)):
             worst = _worst(worst, ex.max_residual(gap, box, seed=seed))
-    return _result("fixed_e_i2_closed_form", worst, 1e-10)
+    return worst
 
 
-def case_fixed_e_i1_zero(seed: int, tol: float) -> CaseResult:
+@case("invariants", tol=ex.ZERO_TEST_THRESHOLD)
+def case_fixed_e_i1_zero(seed: int, rng) -> float:
     worst = 0.0
     for energy in (-1.0, 0.5, 2.0):
         ode = _kepler_fixed_e(energy)
         worst = _worst(worst, ex.max_residual(inv.i1(ode), ode.box, seed=seed))
-    return _result("fixed_e_i1_zero", worst, ex.ZERO_TEST_THRESHOLD)
+    return worst
 
 
-def case_fixed_m_flat(seed: int, tol: float) -> CaseResult:
+@case("invariants", tol=ex.ZERO_TEST_THRESHOLD)
+def case_fixed_m_flat(seed: int, rng) -> float:
     worst = 0.0
     for m in (0.5, 1.0, 2.0):
         ode = inv.fixed_m_ode(inv.kepler_force(), m)
         worst = _worst(worst, inv.flatness_residual(ode, seed=seed))
-    return _result("fixed_m_flat", worst, ex.ZERO_TEST_THRESHOLD)
+    return worst
 
 
-def case_fixed_e_elimination_gate(seed: int, tol: float) -> CaseResult:
+@case("invariants", tol=1e-12)
+def case_fixed_e_elimination_gate(seed: int, rng) -> float:
     worst = 0.0
     for energy, text in [(-1, "(rho^2 + rho1^2)/(2*(rho - 1)) - rho"),
                          (2, "(rho^2 + rho1^2)/(2*(rho + 2)) - rho")]:
@@ -349,42 +392,44 @@ def case_fixed_e_elimination_gate(seed: int, tol: float) -> CaseResult:
         gap = ex.sub(ode.rhs, ex.parse(text))
         for box in inv.kepler_fixed_e_boxes(float(energy)):
             worst = _worst(worst, ex.max_residual(gap, box, seed=seed))
-    return _result("fixed_e_elimination_gate", worst, 1e-12)
+    return worst
 
 
-def case_type_ii_witness(seed: int, tol: float) -> CaseResult:
+@case("invariants", tol=ex.ZERO_TEST_THRESHOLD)
+def case_type_ii_witness(seed: int, rng) -> tuple[float, str]:
     box = {"x": (-1.0, 1.0), "y": (0.5, 2.0), "p": (-1.0, 1.0)}
     ode = inv.SecondOrderODE(ex.parse("(x*p - y)^3"), dict(box))
     r1 = ex.max_residual(inv.i1(ode), box, seed=seed)
     r2 = ex.max_residual(inv.i2(ode), box, seed=seed)
-    ok = r1 <= ex.ZERO_TEST_THRESHOLD and r2 > 1e-3
-    return CaseResult(
-        "type_ii_witness", "pass" if ok else "fail", r1, ex.ZERO_TEST_THRESHOLD,
-        detail=f"i2_residual={r2:.3e}",
-    )
+    detail = f"i2_residual={r2:.3e}"
+    if not r2 > 1e-3:  # the witness must not be flat
+        raise CaseFailed(r1, detail)
+    return r1, detail
 
 
-def case_wunschmann_scan(seed: int, tol: float) -> CaseResult:
+@case("invariants", tol=0.5)
+def case_wunschmann_scan(seed: int, rng) -> tuple[float, str]:
     grid = [-3, -2.5, -2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2, 3]
     rows = inv.power_law_scan(grid, "wunschmann", seed=seed)
     passing = {row.alpha for row in rows if row.passed}
     failures = 0 if passing == {-2.0, 1.0} else 1
-    return _result("wunschmann_scan", float(failures), 0.5,
-                   detail=f"passing={sorted(passing)}")
+    return float(failures), f"passing={sorted(passing)}"
 
 
-def case_fixed_m_scan(seed: int, tol: float) -> CaseResult:
+@case("invariants", tol=0.5)
+def case_fixed_m_scan(seed: int, rng) -> tuple[float, str]:
     rows = inv.power_law_scan([-3, -2, -1, 1, 2], "fixedM-flat", seed=seed)
     passing = {row.alpha for row in rows if row.passed}
     failures = 0 if passing == {-2.0, -3.0} else 1
-    return _result("fixed_m_scan", float(failures), 0.5, detail=f"passing={sorted(passing)}")
+    return float(failures), f"passing={sorted(passing)}"
 
 
-def case_zero_energy_scan(seed: int, tol: float) -> CaseResult:
+@case("invariants", tol=0.5)
+def case_zero_energy_scan(seed: int, rng) -> tuple[float, str]:
     rows = inv.power_law_scan([-2, -1, 1, 2], "zeroE-flat", seed=seed)
     failing = {row.alpha for row in rows if not row.passed}
     failures = 0 if failing == {-1.0} else 1
-    return _result("zero_energy_scan", float(failures), 0.5, detail=f"failing={sorted(failing)}")
+    return float(failures), f"failing={sorted(failing)}"
 
 
 @functools.cache
@@ -393,16 +438,17 @@ def _zero_energy_flatness(seed: int) -> float:
     return inv.flatness_residual(ode, seed=seed)
 
 
-def case_zero_energy_kepler_flat(seed: int, tol: float) -> CaseResult:
-    return _result("zero_energy_kepler_flat", _zero_energy_flatness(seed), ex.ZERO_TEST_THRESHOLD)
+@case("invariants", tol=ex.ZERO_TEST_THRESHOLD)
+def case_zero_energy_kepler_flat(seed: int, rng) -> float:
+    return _zero_energy_flatness(seed)
 
 
 # --------------------------------------------------------------------------
 # theorems suite
 # --------------------------------------------------------------------------
 
-def case_lambert_random(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "lambert_random")
+@case("theorems", tol=1e-10)
+def case_lambert_random(seed: int, rng) -> float:
     worst = 0.0
     for _ in range(100):
         o = _random_ellipse(rng)
@@ -410,10 +456,11 @@ def case_lambert_random(seed: int, tol: float) -> CaseResult:
         sides = th.lambert_check(o, float(u1), float(u2))
         b_sq = 4.0 / (o.c**2 - o.a**2 - o.b**2)
         worst = _worst(worst, abs(sides.lhs - sides.rhs) / (1.0 + b_sq))
-    return _result("lambert_random", worst, 1e-10)
+    return worst
 
 
-def case_lambert_exact_case(seed: int, tol: float) -> CaseResult:
+@case("theorems", tol=0.5)
+def case_lambert_exact_case(seed: int, rng) -> tuple[float, str]:
     # worked case (1/2, 0, 1), u = (0, pi), in exact rational arithmetic:
     # sin^2(du/2) = 1, cos u1 = 1, cos u2 = -1
     a, b, c = Fraction(1, 2), Fraction(0), Fraction(1)
@@ -429,59 +476,57 @@ def case_lambert_exact_case(seed: int, tol: float) -> CaseResult:
     lhs = b_sq * 1
     rhs = r12_sq - (r1 - r2) ** 2
     exact = lhs == rhs == Fraction(16, 3)
-    return CaseResult(
-        "lambert_exact_case", "pass" if exact else "fail", 0.0 if exact else 1.0, 0.5,
-        detail=f"lhs={lhs}, rhs={rhs}",
-    )
+    return 0.0 if exact else 1.0, f"lhs={lhs}, rhs={rhs}"
 
 
-def case_four_vertices_fig12(seed: int, tol: float) -> CaseResult:
+@case("theorems", tol=1e-6)
+def case_four_vertices_fig12(seed: int, rng) -> float:
     verts = th.kepler_vertices(th.circle_curve(0.6, 0.0, 1.0))
     expected = sorted([0.0, math.acos(-0.6), math.pi, 2 * math.pi - math.acos(-0.6)])
     if len(verts) != 4:
-        return CaseResult("four_vertices_fig12", "fail", float(len(verts)), 1e-6,
-                          detail=f"expected 4 vertices, got {len(verts)}")
-    worst = _worst(*(abs(g - w) for g, w in zip(sorted(verts), expected)))
-    return _result("four_vertices_fig12", worst, 1e-6)
+        raise CaseFailed(float(len(verts)), f"expected 4 vertices, got {len(verts)}")
+    return _worst(*(abs(g - w) for g, w in zip(sorted(verts), expected)))
 
 
-def case_tait_kneser_fig12(seed: int, tol: float) -> CaseResult:
+@case("theorems", tol=0.5)
+def case_tait_kneser_fig12(seed: int, rng) -> tuple[float, str]:
     curve = th.circle_curve(0.6, 0.0, 1.0)
     report = th.tait_kneser(curve, (0.05, math.acos(-0.6) - 0.05), k=12)
     failures = (0 if report.all_nested else 1) + (0 if report.all_chords_timelike else 1)
-    return _result("tait_kneser_fig12", float(failures), 0.5,
-                   detail=f"pairs={report.pairs}")
+    return float(failures), f"pairs={report.pairs}"
 
 
-def _envelope_case(name: str, env: KeplerOrbit, members) -> CaseResult:
+def _envelope_residual(env: KeplerOrbit, members) -> float:
     worst = 0.0
     for member in members:
         report = th.tangency_report(member, env)
         if not report.even_contact:
-            return CaseResult(name, "fail", report.residual, 1e-7,
-                              detail="odd-multiplicity contact")
+            raise CaseFailed(report.residual, "odd-multiplicity contact")
         worst = _worst(worst, report.residual)
-    return _result(name, worst, 1e-7)
+    return worst
 
 
-def case_envelope_minor_axis(seed: int, tol: float) -> CaseResult:
-    return _envelope_case("envelope_minor_axis", th.envelope_minor_axis(2.0, 1.0),
-                          th.minor_axis_family(2.0, 1.0, np.linspace(-1.2, 1.2, 20)))
+@case("theorems", tol=1e-7)
+def case_envelope_minor_axis(seed: int, rng) -> float:
+    return _envelope_residual(th.envelope_minor_axis(2.0, 1.0),
+                              th.minor_axis_family(2.0, 1.0, np.linspace(-1.2, 1.2, 20)))
 
 
-def case_envelope_energy(seed: int, tol: float) -> CaseResult:
-    return _envelope_case("envelope_energy", th.envelope_energy(-0.5, 1.0),
-                          th.energy_family(-0.5, 1.0, np.linspace(-0.9, 0.9, 20)))
+@case("theorems", tol=1e-7)
+def case_envelope_energy(seed: int, rng) -> float:
+    return _envelope_residual(th.envelope_energy(-0.5, 1.0),
+                              th.energy_family(-0.5, 1.0, np.linspace(-0.9, 0.9, 20)))
 
 
-def case_envelope_energy_focus(seed: int, tol: float) -> CaseResult:
+@case("theorems", tol=1e-9)
+def case_envelope_energy_focus(seed: int, rng) -> float:
     env = th.envelope_energy(-0.5, 1.0)
     fx, fy = th.second_focus(env)
-    worst = math.hypot(fx - 1.0, fy - 0.0)
-    return _result("envelope_energy_focus", worst, 1e-9)
+    return math.hypot(fx - 1.0, fy - 0.0)
 
 
-def case_envelope_hooke(seed: int, tol: float) -> CaseResult:
+@case("theorems", tol=1e-6)
+def case_envelope_hooke(seed: int, rng) -> float:
     env = th.envelope_hooke(math.pi)
     worst = abs(env.half_gap - 1.0)
     members = th.hooke_family(math.pi, np.linspace(-1.0, 1.0, 20))
@@ -495,7 +540,7 @@ def case_envelope_hooke(seed: int, tol: float) -> CaseResult:
         res = fit(pts)
         report = th.tangency_report(res.orbit, kepler_env)
         worst = _worst(worst, report.residual)
-    return _result("envelope_hooke", worst, 1e-6)
+    return worst
 
 
 @functools.cache
@@ -511,30 +556,33 @@ def _newton_residuals() -> tuple[float, float]:
     return membership, conservation
 
 
-def case_newton_membership(seed: int, tol: float) -> CaseResult:
-    return _result("newton_membership", _newton_residuals()[0], 1e-6)
+@case("theorems", tol=1e-6)
+def case_newton_membership(seed: int, rng) -> float:
+    return _newton_residuals()[0]
 
 
-def case_newton_conservation(seed: int, tol: float) -> CaseResult:
-    return _result("newton_conservation", _newton_residuals()[1], 1e-8)
+@case("theorems", tol=1e-8)
+def case_newton_conservation(seed: int, rng) -> float:
+    return _newton_residuals()[1]
 
 
-def case_curved_quadric(seed: int, tol: float) -> CaseResult:
+@case("theorems", tol=1e-9)
+def case_curved_quadric(seed: int, rng) -> float:
     worst = th.curved_quadric_residual(MinkVec(0, 0, 1), -0.5, 0.0)
     worst = _worst(worst, th.curved_quadric_residual(MinkVec(math.sqrt(3.0), 0, -1), 1.0, 0.0))
     b_axis = 2.0
     for member in th.minor_axis_family(b_axis, 1.0, np.linspace(-1, 1, 9)):
         v = MinkVec(member.a, member.b, member.c)
         worst = _worst(worst, th.curved_quadric_residual(v, 0.0, 4.0 / b_axis**2))
-    return _result("curved_quadric", worst, 1e-9)
+    return worst
 
 
 # --------------------------------------------------------------------------
 # maps suite
 # --------------------------------------------------------------------------
 
-def case_square_lines_flat(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "square_lines_flat")
+@case("maps", tol=1e-6)
+def case_square_lines_flat(seed: int, rng) -> float:
     worst = 0.0
     for _ in range(50):
         phi = rng.uniform(0, 2 * math.pi)
@@ -545,13 +593,18 @@ def case_square_lines_flat(seed: int, tol: float) -> CaseResult:
                for t in rng.uniform(-1.5, 1.5, size=20)]
         res = fit(pts)
         if res.kind != "orbit":
-            return CaseResult("square_lines_flat", "fail", 1.0, 1e-6, detail="fit degenerated")
+            raise CaseFailed(1.0, "fit degenerated")
         worst = _worst(worst, abs(res.orbit.eccentricity - 1.0))
-    return _result("square_lines_flat", worst, 1e-6)
+    return worst
 
 
-def case_flatten_m_collinear(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "flatten_m_collinear")
+@case("maps", tol=ex.ZERO_TEST_THRESHOLD)
+def case_square_zero_energy_flat(seed: int, rng) -> float:
+    return _zero_energy_flatness(seed)
+
+
+@case("maps", tol=1e-10)
+def case_flatten_m_collinear(seed: int, rng) -> float:
     worst = 0.0
     dual_worst = 0.0
     for m in (0.5, 1.0, 2.0):
@@ -564,19 +617,17 @@ def case_flatten_m_collinear(seed: int, tol: float) -> CaseResult:
                    if abs(1.0 - p.r / (m * m)) > 0.05]
             res = fit(pts)
             if res.kind != "line":
-                return CaseResult("flatten_m_collinear", "fail", 1.0, 1e-10,
-                                  detail="image not flagged as line")
+                raise CaseFailed(1.0, "image not flagged as line")
             worst = _worst(worst, res.residual)
             want = kmaps.flatten_m_dual(o.dual(), m)
             dual_worst = _worst(dual_worst, abs(res.line[0] - want.a), abs(res.line[1] - want.b))
     if dual_worst > 1e-9:
-        return CaseResult("flatten_m_collinear", "fail", dual_worst, 1e-9,
-                          detail="dual prediction mismatch")
-    return _result("flatten_m_collinear", worst, 1e-10)
+        raise CaseFailed(dual_worst, "dual prediction mismatch")
+    return worst
 
 
-def case_hill_embedding(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "hill_embedding")
+@case("maps", tol=1e-8)
+def case_hill_embedding(seed: int, rng) -> float:
     worst = 0.0
     radius_violations = 0
     for _ in range(50):
@@ -592,7 +643,7 @@ def case_hill_embedding(seed: int, tol: float) -> CaseResult:
             images.append(q)
         res = fit(images)
         if res.kind != "orbit":
-            return CaseResult("hill_embedding", "fail", 1.0, 1e-8, detail="fit degenerated")
+            raise CaseFailed(1.0, "fit degenerated")
         want = kmaps.hill_dual(o, 1.0)
         worst = _worst(worst, abs(res.orbit.energy - (-1.0)))
         worst = _worst(
@@ -606,13 +657,12 @@ def case_hill_embedding(seed: int, tol: float) -> CaseResult:
             if not (0.5 < q.r < 1.0):
                 radius_violations += 1
     if radius_violations:
-        return CaseResult("hill_embedding", "fail", float(radius_violations), 1e-8,
-                          detail="image radii leave the predicted regions")
-    return _result("hill_embedding", worst, 1e-8)
+        raise CaseFailed(float(radius_violations), "image radii leave the predicted regions")
+    return worst
 
 
-def case_parabola_chart_law(seed: int, tol: float) -> CaseResult:
-    rng = _rng(seed, "parabola_chart_law")
+@case("maps", tol=1e-10)
+def case_parabola_chart_law(seed: int, rng) -> float:
     worst = 0.0
     done = 0
     while done < 25:
@@ -627,78 +677,19 @@ def case_parabola_chart_law(seed: int, tol: float) -> CaseResult:
             q = kmaps.parabola_chart(float(bx), float(by))
             worst = _worst(worst, membership_residual(dual, q.x, q.y))
         done += 1
-    return _result("parabola_chart_law", worst, 1e-10)
+    return worst
 
 
-def case_square_zero_energy_flat(seed: int, tol: float) -> CaseResult:
-    return _result("square_zero_energy_flat", _zero_energy_flatness(seed), ex.ZERO_TEST_THRESHOLD)
-
-
-_SUITE_CASES = {
-    "symmetry": [
-        case_vf_plane_closed_forms,
-        case_vf_dual_closed_forms,
-        case_commuting_square,
-        case_bracket_closure,
-        case_one_param_subgroup,
-        case_fixed_energy_quadric,
-    ],
-    "duality": [
-        case_dual_curve_agreement,
-        case_parabolic_point_planes,
-        case_ellipse_pencil_counts,
-    ],
-    "invariants": [
-        case_fixed_e_i2_closed_form,
-        case_fixed_e_i1_zero,
-        case_fixed_m_flat,
-        case_fixed_e_elimination_gate,
-        case_type_ii_witness,
-        case_wunschmann_scan,
-        case_fixed_m_scan,
-        case_zero_energy_scan,
-        case_zero_energy_kepler_flat,
-    ],
-    "theorems": [
-        case_lambert_random,
-        case_lambert_exact_case,
-        case_four_vertices_fig12,
-        case_tait_kneser_fig12,
-        case_envelope_minor_axis,
-        case_envelope_energy,
-        case_envelope_energy_focus,
-        case_envelope_hooke,
-        case_newton_membership,
-        case_newton_conservation,
-        case_curved_quadric,
-    ],
-    "maps": [
-        case_square_lines_flat,
-        case_square_zero_energy_flat,
-        case_flatten_m_collinear,
-        case_hill_embedding,
-        case_parabola_chart_law,
-    ],
-}
-
-
-def run_suite(suite: str, seed: int = 0, tol: float = DEFAULT_TOL) -> VerifyReport:
+def run_suite(suite: str, seed: int = 0) -> VerifyReport:
     """Run one named suite; cases are sorted by name in the report."""
     if suite not in _SUITE_CASES:
         raise ValueError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")
     start = time.perf_counter()
-    cases = []
-    for fn in _SUITE_CASES[suite]:
-        try:
-            cases.append(fn(seed, tol))
-        except Exception as err:  # pragma: no cover - defensive
-            name = fn.__name__.removeprefix("case_")
-            cases.append(CaseResult(name, "error", None, tol, detail=repr(err)))
-    cases.sort(key=lambda c: c.name)
+    cases = sorted((fn(seed) for fn in _SUITE_CASES[suite]), key=lambda c: c.name)
     return VerifyReport(suite, seed, cases, time.perf_counter() - start)
 
 
-def run_suites(suite: str, seed: int = 0, tol: float = DEFAULT_TOL) -> list[VerifyReport]:
+def run_suites(suite: str, seed: int = 0) -> list[VerifyReport]:
     if suite == "all":
-        return [run_suite(s, seed, tol) for s in SUITES]
-    return [run_suite(suite, seed, tol)]
+        return [run_suite(s, seed) for s in SUITES]
+    return [run_suite(suite, seed)]

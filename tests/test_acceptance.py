@@ -13,7 +13,7 @@ SEED = 0
 
 
 def _check(criterion: str, *case_fns) -> None:
-    results = [fn(SEED, vf.DEFAULT_TOL) for fn in case_fns]
+    results = [fn(SEED) for fn in case_fns]
     ok = all(r.status == "pass" for r in results)
     detail = "; ".join(
         f"{r.name}: residual={r.residual:.3e} tol={r.tol:.1e}"

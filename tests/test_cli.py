@@ -84,6 +84,22 @@ def test_verify_seed_from_environment(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 11
 
 
+def test_verify_negative_seed_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "duality", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["-3", "seven"])
+def test_verify_bad_seed_in_environment_is_domain_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("KEPLER_SYM_SEED", raw)
+    code, out, err = run(capsys, "verify", "--suite", "duality")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: KEPLER_SYM_SEED must be a non-negative integer, got {raw!r}\n"
+
+
 def test_orbit_info(capsys):
     code, out, _ = run(capsys, "orbit", "info", "--a", "0", "--b", "0", "--c", "1")
     assert code == 0
@@ -212,6 +228,27 @@ def test_map_flatten_flags_singular_rows(tmp_path, capsys):
     assert rows[1][3] != ""
     assert rows[2][3] == ""
     assert float(rows[2][1]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("argv,param", [
+    (["flattenM", "--m", "1e-200"], "m=1e-200"),  # M^2 underflows to 0
+    (["flattenM", "--m", "inf"], "m=inf"),
+    (["flattenM", "--m", "nan"], "m=nan"),
+    (["hill", "--energy", "nan"], "energy=nan"),
+    (["hill", "--energy", "inf"], "energy=inf"),
+])
+def test_map_flags_every_row_for_a_degenerate_parameter(tmp_path, capsys, argv, param):
+    src = tmp_path / "pts.csv"
+    src.write_text("theta,x,y\n0,0.5,0\n0,0,2\n")
+    dst = tmp_path / "out.csv"
+    code, out, err = run(capsys, "map", *argv, "--points", str(src), "--out", str(dst))
+    assert (code, out, err) == (0, "", "")
+    with open(dst) as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    for row in rows[1:]:
+        assert row[:3] == ["", "", ""]
+        assert param in row[3]
 
 
 def test_map_flags_non_numeric_rows(tmp_path, capsys):

@@ -96,6 +96,25 @@ def test_flatten_m_singular_radius():
         flatten_m(PlanePoint(1.0, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("m", [1e-200, 1e-160, math.inf, -math.inf, math.nan])
+def test_flatten_m_rejects_degenerate_angular_momentum(m):
+    # 1e-200 squares to 0; 1e-160 squares to a subnormal whose reciprocal overflows
+    with pytest.raises(MapError, match="angular momentum m="):
+        flatten_m(PlanePoint(0.5, 0.0), m)
+    with pytest.raises(MapError, match="angular momentum m="):
+        flatten_m_dual(MinkVec(0.5, 0.0, 1.0), m)
+
+
+@pytest.mark.parametrize("energy", [math.inf, math.nan])
+def test_hill_maps_reject_non_finite_energy(energy):
+    o = from_abc(math.sqrt(3.0), 0, 1)
+    for call in (lambda: hill_embed(PlanePoint(0.5, 0.0), energy),
+                 lambda: repel_embed(PlanePoint(0.5, 0.0), energy),
+                 lambda: hill_dual(o, energy)):
+        with pytest.raises(MapError, match="energy="):
+            call()
+
+
 def test_flatten_m_collinearity():
     rng = np.random.default_rng(17)
     for m in (0.5, 1.0, 2.0):

@@ -39,6 +39,7 @@ from .orbit import (
 from .verify import SUITES, run_suites
 
 SEED_ENV_VAR = "KEPLER_SYM_SEED"
+MAX_SAMPLES = 100_000  # the largest `orbit sample --n`
 
 
 class CliError(Exception):
@@ -71,6 +72,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _sample_count(text: str) -> int:
+    n = int(text)
+    if n > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES} samples, got {n}")
+    return n
+
+
 def _non_negative_int(text: str) -> int:
     n = int(text)
     if n < 0:
@@ -99,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", type=float, required=True)
         p.add_argument("--c", type=float, required=True)
         if action == "sample":
-            p.add_argument("--n", type=int, default=100)
+            p.add_argument("--n", type=_sample_count, default=100)
             p.add_argument("--format", choices=("csv", "json"), default="csv")
             p.set_defaults(func=cmd_orbit_sample)
         else:
@@ -241,6 +249,8 @@ def cmd_ode_invariants(args) -> int:
 
 
 def cmd_ode_wunschmann(args) -> int:
+    if not math.isfinite(args.alpha):
+        raise CliError(f"the force exponent must be finite, got alpha={args.alpha!r}")
     (row,) = inv.power_law_scan([args.alpha], "wunschmann")
     print(f"wunschmann_residual = {row.residual!r}")
     print(f"satisfied = {row.passed}")
@@ -316,56 +326,40 @@ def _orbit_points(o, n=100) -> list[list[float]]:
     return [[p.x, p.y] for p in sample(o, n)]
 
 
+# kind -> (parameter names, envelope, family generator, range of the family's
+# index: the dual b-coordinate of the orbit families, the shear of hooke's)
+_ENVELOPES = {
+    "minor-axis": (("b_axis", "x1"), th.envelope_minor_axis, th.minor_axis_family, 1.2),
+    "energy": (("energy", "x0"), th.envelope_energy, th.energy_family, 0.9),
+    "hooke": (("area",), th.envelope_hooke, th.hooke_family, 1.0),
+}
+
+
 def cmd_envelope(args) -> int:
+    names, envelope, family, span = _ENVELOPES[args.kind]
+    params = {name: getattr(args, name) for name in names}
+    if None in params.values():
+        flags = " and ".join("--" + name.replace("_", "-") for name in names)
+        raise CliError(f"{args.kind} needs {flags}")
     try:
-        if args.kind == "minor-axis":
-            if args.b_axis is None or args.x1 is None:
-                raise CliError("minor-axis needs --b-axis and --x1")
-            env = th.envelope_minor_axis(args.b_axis, args.x1)
-            members = th.minor_axis_family(
-                args.b_axis, args.x1, np.linspace(-1.2, 1.2, args.members)
-            )
-            payload = {
-                "kind": args.kind,
-                "params": {"b_axis": args.b_axis, "x1": args.x1},
-                "envelope": orbit_to_dict(env),
-                "envelope_points": _orbit_points(env),
-                "family": [
-                    {"dual": orbit_to_dict(m), "points": _orbit_points(m, 50)} for m in members
-                ],
-            }
-        elif args.kind == "energy":
-            if args.energy is None or args.x0 is None:
-                raise CliError("energy needs --energy and --x0")
-            env = th.envelope_energy(args.energy, args.x0)
-            members = th.energy_family(
-                args.energy, args.x0, np.linspace(-0.9, 0.9, args.members)
-            )
-            fx, fy = th.second_focus(env)
-            payload = {
-                "kind": args.kind,
-                "params": {"energy": args.energy, "x0": args.x0},
-                "envelope": orbit_to_dict(env),
-                "second_focus": [fx, fy],
-                "envelope_points": _orbit_points(env),
-                "family": [
-                    {"dual": orbit_to_dict(m), "points": _orbit_points(m, 50)} for m in members
-                ],
-            }
-        else:
-            if args.area is None:
-                raise CliError("hooke needs --area")
-            env = th.envelope_hooke(args.area)
-            curves = th.hooke_family(args.area, np.linspace(-1.0, 1.0, args.members))
+        env = envelope(*params.values())
+        members = family(*params.values(), np.linspace(-span, span, args.members))
+        payload = {"kind": args.kind, "params": params}
+        if args.kind == "hooke":  # the envelope is a line pair, the members plain curves
             ts = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
-            payload = {
-                "kind": args.kind,
-                "params": {"area": args.area},
-                "envelope_lines": [env.half_gap, -env.half_gap],
-                "family": [
-                    {"points": [list(cv.point(float(t))) for t in ts]} for cv in curves
-                ],
-            }
+            payload.update(
+                envelope_lines=[env.half_gap, -env.half_gap],
+                family=[{"points": [list(cv.point(float(t))) for t in ts]} for cv in members],
+            )
+        else:
+            if args.kind == "energy":
+                payload["second_focus"] = list(th.second_focus(env))
+            payload.update(
+                envelope=orbit_to_dict(env),
+                envelope_points=_orbit_points(env),
+                family=[{"dual": orbit_to_dict(m), "points": _orbit_points(m, 50)}
+                        for m in members],
+            )
     except th.TheoremError as err:
         raise CliError(str(err)) from err
     _print_json(payload)

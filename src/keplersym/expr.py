@@ -605,12 +605,13 @@ def max_residual(
 # --------------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
+MAX_PARSE_DEPTH = 100  # nesting of brackets, calls, unary minus and exponents
 
 
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.depth = 0
         self.tokens: list[tuple[str, object, int]] = []
         self._scan()
         self.index = 0
@@ -678,6 +679,7 @@ def parse(text: str) -> Expr:
     factor)*; factor := base ('^' exponent)?; base := number | ident |
     ident '(' expr ')' | '(' expr ')'.  Unary minus is allowed before a
     factor; integer '/' integer folds to an exact rational constant.
+    Nesting deeper than MAX_PARSE_DEPTH levels is a ParseError.
     """
     tz = _Tokenizer(text)
     e = _parse_expr(tz)
@@ -713,19 +715,24 @@ def _parse_term(tz: _Tokenizer) -> Expr:
 
 def _parse_factor(tz: _Tokenizer) -> Expr:
     kind, val, pos = tz.peek()
+    if tz.depth == MAX_PARSE_DEPTH:
+        raise ParseError(f"expression nests deeper than {MAX_PARSE_DEPTH} levels", pos)
+    tz.depth += 1
     if kind == "op" and val == "-":
         tz.next()
-        return neg(_parse_factor(tz))
-    base = _parse_base(tz)
-    kind, val, _ = tz.peek()
-    if kind == "op" and val == "^":
-        tz.next()
-        _, _, epos = tz.peek()
-        exponent = _parse_factor(tz)
-        if not isinstance(exponent, Const):
-            raise ParseError("exponent must be a constant", epos)
-        return pow_(base, exponent.value)
-    return base
+        e = neg(_parse_factor(tz))
+    else:
+        e = _parse_base(tz)
+        kind, val, _ = tz.peek()
+        if kind == "op" and val == "^":
+            tz.next()
+            _, _, epos = tz.peek()
+            exponent = _parse_factor(tz)
+            if not isinstance(exponent, Const):
+                raise ParseError("exponent must be a constant", epos)
+            e = pow_(e, exponent.value)
+    tz.depth -= 1
+    return e
 
 
 def _parse_base(tz: _Tokenizer) -> Expr:

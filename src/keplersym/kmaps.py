@@ -37,6 +37,18 @@ def _check_energy(energy: float) -> None:
         raise MapError(f"embedding is defined for finite positive energy, got energy={energy!r}")
 
 
+def _radial(p: PlanePoint, denom: float, circle: str | None, name: str,
+            value: float) -> PlanePoint:
+    """The image p / denom.  An overflowing denom is a MapError naming `name=value`,
+    one on the map's singular `circle` (None: it has none) a SingularRadiusError."""
+    if not SINGULAR_TOL < abs(denom) < math.inf:
+        if circle is not None and abs(denom) <= SINGULAR_TOL:
+            raise SingularRadiusError(f"radius {p.r} sits on the singular circle {circle}")
+        if not abs(denom) < math.inf:
+            raise MapError(f"radius {p.r} overflows the map's denominator at {name}={value!r}")
+    return PlanePoint(p.x / denom, p.y / denom)
+
+
 def square(p: PlanePoint) -> PlanePoint:
     """Complex squaring (x, y) -> (x^2 - y^2, 2 x y).
 
@@ -57,10 +69,7 @@ def square_line_image(angle: float, distance: float) -> KeplerOrbit:
 
 def flatten_m(p: PlanePoint, m: float) -> PlanePoint:
     """Radial map r -> r / (1 - r / M^2); straightens orbits with |M| = m."""
-    denom = 1.0 - p.r / _m_squared(m)
-    if abs(denom) <= SINGULAR_TOL:
-        raise SingularRadiusError(f"radius {p.r} sits on the singular circle r = M^2")
-    return PlanePoint(p.x / denom, p.y / denom)
+    return _radial(p, 1.0 - p.r / _m_squared(m), "r = M^2", "m", m)
 
 
 def flatten_m_dual(v: MinkVec, m: float) -> MinkVec:
@@ -72,8 +81,7 @@ def hill_embed(p: PlanePoint, energy: float) -> PlanePoint:
     """Radial map r -> r / (1 + 2 E r) embedding the energy-E Hill region
     (E > 0) into the energy -E one."""
     _check_energy(energy)
-    denom = 1.0 + 2.0 * energy * p.r
-    return PlanePoint(p.x / denom, p.y / denom)
+    return _radial(p, 1.0 + 2.0 * energy * p.r, None, "energy", energy)
 
 
 def hill_dual(o: KeplerOrbit, energy: float) -> KeplerOrbit:
@@ -91,10 +99,7 @@ def reflect_dual_signed(v: MinkVec, energy: float) -> MinkVec:
 def repel_embed(p: PlanePoint, energy: float) -> PlanePoint:
     """Radial map r -> r / (1 - 2 E r) for repelling-branch points."""
     _check_energy(energy)
-    denom = 1.0 - 2.0 * energy * p.r
-    if abs(denom) <= SINGULAR_TOL:
-        raise SingularRadiusError(f"radius {p.r} sits on the singular circle r = 1/(2E)")
-    return PlanePoint(p.x / denom, p.y / denom)
+    return _radial(p, 1.0 - 2.0 * energy * p.r, "r = 1/(2E)", "energy", energy)
 
 
 def parabola_chart(big_x: float, big_y: float) -> PlanePoint:

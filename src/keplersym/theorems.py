@@ -58,56 +58,56 @@ _FD_H = 1e-5
 
 @dataclass(frozen=True)
 class ParametricCurve:
-    """Plane curve t -> (x, y) with derivative access.
+    """Plane curve t -> (x, y) with its first derivative `d1`.
 
-    Derivative callbacks are optional; central differences stand in when
-    they are missing.  `closed` marks a periodic parametrization over
-    `domain`.
+    `d2` is optional; a central difference of `d1` stands in when it is
+    missing.  `closed` marks a periodic parametrization over `domain`.
     """
 
     fn: Callable[[float], tuple[float, float]]
     domain: tuple[float, float]
-    d1: Callable[[float], tuple[float, float]] | None = None
+    d1: Callable[[float], tuple[float, float]]
     d2: Callable[[float], tuple[float, float]] | None = None
     closed: bool = False
 
     def point(self, t: float) -> tuple[float, float]:
         return self.fn(t)
 
-    def deriv(self, t: float) -> tuple[float, float]:
-        if self.d1 is not None:
-            return self.d1(t)
-        (x1, y1) = self.fn(t + _FD_H)
-        (x0, y0) = self.fn(t - _FD_H)
-        return ((x1 - x0) / (2 * _FD_H), (y1 - y0) / (2 * _FD_H))
-
     def deriv2(self, t: float) -> tuple[float, float]:
         if self.d2 is not None:
             return self.d2(t)
-        (x1, y1) = self.deriv(t + _FD_H)
-        (x0, y0) = self.deriv(t - _FD_H)
+        (x1, y1) = self.d1(t + _FD_H)
+        (x0, y0) = self.d1(t - _FD_H)
         return ((x1 - x0) / (2 * _FD_H), (y1 - y0) / (2 * _FD_H))
 
 
+def _affine_circle(c: tuple[float, float], u: tuple[float, float],
+                   v: tuple[float, float]) -> ParametricCurve:
+    """Closed curve t -> c + u cos t + v sin t, an affine image of the unit circle."""
+    (cx, cy), (ux, uy), (vx, vy) = c, u, v
+
+    def fn(t):
+        ct, st = math.cos(t), math.sin(t)
+        return (cx + ux * ct + vx * st, cy + uy * ct + vy * st)
+
+    def d1(t):
+        ct, st = math.cos(t), math.sin(t)
+        return (vx * ct - ux * st, vy * ct - uy * st)
+
+    def d2(t):
+        ct, st = math.cos(t), math.sin(t)
+        return (-(ux * ct + vx * st), -(uy * ct + vy * st))
+
+    return ParametricCurve(fn=fn, d1=d1, d2=d2, domain=(0.0, 2.0 * math.pi), closed=True)
+
+
 def circle_curve(cx: float, cy: float, radius: float) -> ParametricCurve:
-    return ParametricCurve(
-        fn=lambda t: (cx + radius * math.cos(t), cy + radius * math.sin(t)),
-        d1=lambda t: (-radius * math.sin(t), radius * math.cos(t)),
-        d2=lambda t: (-radius * math.cos(t), -radius * math.sin(t)),
-        domain=(0.0, 2.0 * math.pi),
-        closed=True,
-    )
+    return _affine_circle((cx, cy), (radius, 0.0), (0.0, radius))
 
 
 def ellipse_curve(ax: float, ay: float) -> ParametricCurve:
     """Origin-centered axis-aligned ellipse with semi-axes (ax, ay)."""
-    return ParametricCurve(
-        fn=lambda t: (ax * math.cos(t), ay * math.sin(t)),
-        d1=lambda t: (-ax * math.sin(t), ay * math.cos(t)),
-        d2=lambda t: (-ax * math.cos(t), -ay * math.sin(t)),
-        domain=(0.0, 2.0 * math.pi),
-        closed=True,
-    )
+    return _affine_circle((0.0, 0.0), (ax, 0.0), (0.0, ay))
 
 
 def polar_graph_curve(
@@ -176,7 +176,7 @@ def dual_of_orbit(o: KeplerOrbit) -> Circle:
 
 def dual_point_of_tangent(curve: ParametricCurve, t: float) -> tuple[float, float]:
     x, y = curve.point(t)
-    dx, dy = curve.deriv(t)
+    dx, dy = curve.d1(t)
     w = x * dy - y * dx
     if abs(w) <= 1e-14 * (1.0 + abs(x * dy) + abs(y * dx)):
         raise TheoremError(f"tangent line passes through the origin at t={t}")
@@ -191,7 +191,7 @@ def dual_curve(curve: ParametricCurve) -> ParametricCurve:
 
     def d1(t):
         x, y = curve.point(t)
-        dx, dy = curve.deriv(t)
+        dx, dy = curve.d1(t)
         ddx, ddy = curve.deriv2(t)
         w = x * dy - y * dx
         dw = x * ddy - y * ddx
@@ -222,7 +222,7 @@ class Jet2Polar:
 def polar_jet(curve: ParametricCurve, t: float) -> Jet2Polar:
     """Polar 2-jet (theta, rho, rho', rho'') of a curve at parameter t."""
     x, y = curve.point(t)
-    dx, dy = curve.deriv(t)
+    dx, dy = curve.d1(t)
     ddx, ddy = curve.deriv2(t)
     r2 = x * x + y * y
     r = math.sqrt(r2)
@@ -256,11 +256,8 @@ def _dual_curvature(curve: ParametricCurve) -> Callable[[float], float]:
     dual = dual_curve(curve)
 
     def kappa(t: float) -> float:
-        dx, dy = dual.deriv(t)
-        x1, y1 = dual.deriv(t + _FD_H)
-        x0, y0 = dual.deriv(t - _FD_H)
-        ddx = (x1 - x0) / (2 * _FD_H)
-        ddy = (y1 - y0) / (2 * _FD_H)
+        dx, dy = dual.d1(t)
+        ddx, ddy = dual.deriv2(t)
         speed = math.hypot(dx, dy)
         return (dx * ddy - dy * ddx) / (speed ** 3)
 
@@ -506,19 +503,7 @@ def envelope_hooke(area: float) -> ParallelLines:
 def hooke_family(area: float, shears: Sequence[float]) -> list[ParametricCurve]:
     """Sheared ellipses of the given area through (1, 0)."""
     semi_y = area / math.pi
-    out = []
-    for s in shears:
-        def fn(t, s=s):
-            return (math.cos(t) + s * semi_y * math.sin(t), semi_y * math.sin(t))
-
-        def d1(t, s=s):
-            return (-math.sin(t) + s * semi_y * math.cos(t), semi_y * math.cos(t))
-
-        def d2(t, s=s):
-            return (-math.cos(t) - s * semi_y * math.sin(t), -semi_y * math.sin(t))
-
-        out.append(ParametricCurve(fn=fn, d1=d1, d2=d2, domain=(0.0, 2 * math.pi), closed=True))
-    return out
+    return [_affine_circle((0.0, 0.0), (1.0, 0.0), (s * semi_y, semi_y)) for s in shears]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import keplersym
-from keplersym.cli import main
+from keplersym.cli import MAX_SAMPLES, main
 
 
 def run(capsys, *argv):
@@ -184,6 +184,30 @@ def test_ode_invariants_power_overflow_is_domain_error(capsys):
     assert "overflows" in err
 
 
+@pytest.mark.parametrize("f", ["(" * 3000 + "p" + ")" * 3000, "p" + "^2" * 2000],
+                         ids=["brackets", "powers"])
+def test_ode_invariants_deep_nesting_is_parse_error(capsys, f):
+    code, out, err = run(capsys, "ode", "invariants", "--f", f, "--at", "p=1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expression nests deeper than") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_ode_wunschmann_rejects_non_finite_alpha(capsys, alpha):
+    code, out, err = run(capsys, "ode", "wunschmann", f"--alpha={alpha}")
+    assert (code, out) == (1, "")
+    assert f"alpha={alpha}" in err and err.count("\n") == 1
+
+
+def test_orbit_sample_count_is_capped(capsys):
+    # the argument type rejects the count before anything is sampled
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "sample", "--a", "0.5", "--b", "0", "--c", "1",
+              "--n", str(MAX_SAMPLES + 1)])
+    assert exc.value.code == 2
+    assert f"at most {MAX_SAMPLES} samples" in capsys.readouterr().err
+
+
 def test_ode_wunschmann_kepler(capsys):
     code, out, _ = run(capsys, "ode", "wunschmann", "--alpha", "-2")
     assert code == 0
@@ -249,6 +273,35 @@ def test_map_flags_every_row_for_a_degenerate_parameter(tmp_path, capsys, argv, 
     for row in rows[1:]:
         assert row[:3] == ["", "", ""]
         assert param in row[3]
+
+
+def test_map_hill_flags_every_row_when_the_denominator_overflows(tmp_path, capsys):
+    src = tmp_path / "pts.csv"
+    src.write_text("theta,x,y\n0,0.5,0\n0,0,2\n")
+    dst = tmp_path / "out.csv"
+    code, _, _ = run(capsys, "map", "hill", "--energy", "1e308", "--points", str(src),
+                     "--out", str(dst))
+    assert code == 0
+    with open(dst) as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        assert row[:3] == ["", "", ""]
+        assert "overflows the map's denominator at energy=1e+308" in row[3]
+
+
+def test_map_flatten_flags_the_row_whose_denominator_overflows(tmp_path, capsys):
+    src = tmp_path / "pts.csv"
+    src.write_text("theta,x,y\n0,1e300,0\n0,1,1\n")
+    dst = tmp_path / "out.csv"
+    code, _, _ = run(capsys, "map", "flattenM", "--m", "1e-150", "--points", str(src),
+                     "--out", str(dst))
+    assert code == 0
+    with open(dst) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][:3] == ["", "", ""]
+    assert "overflows the map's denominator at m=1e-150" in rows[1][3]
+    assert rows[2][3] == ""
+    assert float(rows[2][1]) == float(rows[2][2]) == pytest.approx(-1.0 / (math.sqrt(2.0) * 1e300))
 
 
 def test_map_flags_non_numeric_rows(tmp_path, capsys):

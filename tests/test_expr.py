@@ -21,6 +21,7 @@ from keplersym.expr import (
     Pow,
     Var,
     JetContext,
+    MAX_PARSE_DEPTH,
     DivisionByZeroError,
     MathDomainError,
     ParseError,
@@ -33,6 +34,7 @@ from keplersym.expr import (
     parse,
     to_str,
     total_derivative,
+    var,
 )
 
 
@@ -66,6 +68,25 @@ def test_parse_unknown_function():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "p" + ")" * 3000,
+    "p" + "^2" * 2000,
+    "-" * 3000 + "p",
+    "sin(" * 3000 + "p" + ")" * 3000,
+], ids=["brackets", "powers", "minus", "calls"])
+def test_parse_rejects_deep_nesting(text):
+    with pytest.raises(ParseError, match="nests deeper than"):
+        parse(text)
+
+
+def test_parse_nesting_limit_is_exact():
+    k = MAX_PARSE_DEPTH - 1  # p inside k brackets sits at nesting level k + 1
+    assert parse("(" * k + "p" + ")" * k) is var("p")
+    with pytest.raises(ParseError) as err:
+        parse("(" * (k + 1) + "p" + ")" * (k + 1))
+    assert err.value.position == k + 1
 
 
 def test_diff_power_rule():

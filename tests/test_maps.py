@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from keplersym.orbit import (
     point_at,
     sample,
 )
+from keplersym.symmetry import act_dual, act_plane, algebra, exp_map
 
 
 def test_square_point_values():
@@ -113,6 +115,40 @@ def test_hill_maps_reject_non_finite_energy(energy):
                  lambda: hill_dual(o, energy)):
         with pytest.raises(MapError, match="energy="):
             call()
+
+
+@pytest.mark.parametrize("call,param", [
+    (lambda: hill_embed(PlanePoint(0.5, 0.0), 1e308), "energy=1e+308"),
+    (lambda: repel_embed(PlanePoint(0.5, 0.0), 1e308), "energy=1e+308"),
+    (lambda: flatten_m(PlanePoint(1e300, 0.0), 1e-150), "m=1e-150"),
+], ids=["hill", "repel", "flatten"])
+def test_radial_maps_reject_an_overflowing_denominator(call, param):
+    # the image would underflow to the origin; the message names the overflow instead
+    with pytest.raises(MapError, match=re.escape(f"overflows the map's denominator at {param}")):
+        call()
+
+
+# Each radial map is the x7 translation of the symmetry group: exp of the
+# generator with x7 = t sends the cone lift (x, y, r, 1) to (x, y, r, 1 + t r),
+# so its plane action is p -> p / (1 + t r) and its dual action c -> c + t.
+@pytest.mark.parametrize("radial,dual,t", [
+    (lambda p: flatten_m(p, 1.3), lambda v: flatten_m_dual(v, 1.3), -1.0 / 1.3**2),
+    (lambda p: hill_embed(p, 0.7), lambda v: hill_dual(KeplerOrbit(*v.as_tuple()), 0.7).dual(),
+     1.4),
+    (lambda p: repel_embed(p, 0.7), None, -1.4),
+], ids=["flatten", "hill", "repel"])
+def test_radial_maps_are_x7_translations(radial, dual, t):
+    g = exp_map(algebra(x7=t))
+    rng = np.random.default_rng(23)
+    for r in (0.2, 0.45, 1.1, 2.5, 4.0):  # clear of r = M^2 = 1.69 and r = 1/(2E) = 0.71
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        p = PlanePoint(r * math.cos(phi), r * math.sin(phi))
+        got, want = radial(p), act_plane(g, p)
+        assert math.dist(got.as_tuple(), want.as_tuple()) <= 1e-12 * want.r
+        if dual is not None:
+            v = MinkVec(*rng.uniform(-1.0, 1.0, 2), rng.uniform(0.5, 2.0))
+            got, want = dual(v).as_tuple(), act_dual(g, v).as_tuple()
+            assert math.dist(got, want) <= 1e-12 * math.hypot(*want)
 
 
 def test_flatten_m_collinearity():

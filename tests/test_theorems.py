@@ -22,6 +22,7 @@ from keplersym.theorems import (
     TheoremError,
     UncertifiedRegimeError,
     Jet2Polar,
+    ParametricCurve,
     circle_curve,
     curved_energy,
     curved_quadric_residual,
@@ -49,6 +50,24 @@ from keplersym.theorems import (
     tait_kneser,
     tangency_report,
 )
+
+
+@pytest.mark.parametrize("curve", [
+    circle_curve(0.6, -0.2, 1.3),
+    ellipse_curve(2.0, 0.5),
+    *hooke_family(2.0, [-0.7, 0.4]),
+], ids=["circle", "ellipse", "hooke-", "hooke+"])
+def test_closed_curve_derivatives_match_differences(curve):
+    h = 1e-5
+    for t in np.linspace(0.0, 2.0 * math.pi, 13):
+        for f, df in ((curve.point, curve.d1), (curve.d1, curve.deriv2)):
+            (x1, y1), (x0, y0) = f(t + h), f(t - h)
+            assert df(t) == pytest.approx(((x1 - x0) / (2 * h), (y1 - y0) / (2 * h)), abs=1e-8)
+
+
+def test_a_curve_needs_its_first_derivative():
+    with pytest.raises(TypeError):
+        ParametricCurve(fn=lambda t: (math.cos(t), math.sin(t)), domain=(0.0, 1.0))
 
 
 def test_dual_of_orbit_cases():
@@ -193,7 +212,7 @@ def test_kepler_vertices_random_star_shaped():
         curve = polar_graph_curve(r_fn, dr_fn, d2r_fn)
         # strict convexity check: gamma', gamma'' independent everywhere
         convex = all(
-            (lambda d, dd: d[0] * dd[1] - d[1] * dd[0])(curve.deriv(t), curve.deriv2(t)) > 1e-3
+            (lambda d, dd: d[0] * dd[1] - d[1] * dd[0])(curve.d1(t), curve.deriv2(t)) > 1e-3
             for t in np.linspace(0, 2 * math.pi, 256)
         )
         if not convex:

@@ -238,20 +238,25 @@ def cmd_ode_invariants(args) -> int:
     bindings = _parse_bindings(args.at)
     box = {name: (v, v) for name, v in bindings.items()}
     ode = inv.SecondOrderODE(rhs, box)
-    try:
-        v1 = ex.evaluate(inv.i1(ode), bindings)
-        v2 = ex.evaluate(inv.i2(ode), bindings)
-    except ex.EvalError as err:
-        raise CliError(str(err)) from err
+    v1 = ex.evaluate(inv.i1(ode), bindings)
+    v2 = ex.evaluate(inv.i2(ode), bindings)
     print(f"I1 = {v1!r}")
     print(f"I2 = {v2!r}")
     return 0
 
 
 def cmd_ode_wunschmann(args) -> int:
-    if not math.isfinite(args.alpha):
-        raise CliError(f"the force exponent must be finite, got alpha={args.alpha!r}")
-    (row,) = inv.power_law_scan([args.alpha], "wunschmann")
+    alpha = args.alpha
+    if not math.isfinite(alpha):
+        raise CliError(f"the force exponent must be finite, got alpha={alpha!r}")
+    # r^alpha is positive on the box, so only its size can fail: it underflows
+    # for large alpha > 0 and overflows for large alpha < 0
+    try:
+        (row,) = inv.power_law_scan([alpha], "wunschmann")
+    except inv.InvariantError as err:
+        raise CliError(f"r^alpha underflows inside the box at alpha={alpha!r} ({err})") from err
+    except ex.EvalError as err:
+        raise CliError(f"r^alpha overflows a double inside the box at alpha={alpha!r} ({err})") from err
     print(f"wunschmann_residual = {row.residual!r}")
     print(f"satisfied = {row.passed}")
     return 0
@@ -376,7 +381,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (CliError, OrbitError, inv.InvariantError, kmaps.MapError) as err:
+    except (CliError, OrbitError, inv.InvariantError, kmaps.MapError, ex.ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -31,6 +31,10 @@ ZERO_TEST_THRESHOLD = 1e-9
 ZERO_TEST_TRIALS = 16
 ZERO_TEST_SEED = 0x5EED
 
+# Bits of the largest constant power folded exactly; verify and the ode
+# queries fold none above 3 bits.
+MAX_POWER_BITS = 1 << 16
+
 
 class ExprError(Exception):
     """Base class for all expression-engine errors."""
@@ -72,6 +76,10 @@ class MathDomainError(EvalError):
 
 class FloatOverflowError(EvalError):
     """A constant, sum or power left the range of a double."""
+
+
+class ExprSizeError(ExprError):
+    """An exact constant would grow past MAX_POWER_BITS."""
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +292,11 @@ def pow_(base, exponent) -> Expr:
         and exponent.denominator == 1
         and not (base.value == 0 and exponent < 0)
     ):
-        return Const(base.value ** int(exponent))
+        n, v = int(exponent), base.value
+        bits = max(v.numerator.bit_length(), v.denominator.bit_length()) - 1
+        if abs(n) * bits > MAX_POWER_BITS:  # v^n has at least that many: refuse before computing it
+            raise ExprSizeError(f"a constant power would exceed {MAX_POWER_BITS} bits")
+        return Const(v ** n)
     return Pow(base, exponent)
 
 
@@ -481,8 +493,9 @@ def _eval(e: Expr, b: Mapping[str, float], seen: dict) -> float:
 def _float(v: Number) -> float:
     try:
         return float(v)
-    except OverflowError:
-        raise FloatOverflowError(f"{v} overflows a double") from None
+    except OverflowError:  # v is a Fraction whose digits may pass int-to-str's limit: give its size
+        bits = v.numerator.bit_length() - v.denominator.bit_length()
+        raise FloatOverflowError(f"a constant near 2^{bits} overflows a double") from None
 
 
 def _pow_value(base: float, exponent: Number) -> float:

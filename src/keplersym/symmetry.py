@@ -116,6 +116,11 @@ class GroupElement:
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
+    @cached_property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """The matrix as float rows, computed once, for the per-point kernels."""
+        return tuple(map(tuple, self.matrix.tolist()))
+
     @property
     def A(self) -> np.ndarray:
         return self.matrix[:3, :3]
@@ -208,20 +213,23 @@ def inverse(g: GroupElement) -> GroupElement:
 # Actions
 # --------------------------------------------------------------------------
 
-def _lift4(p: PlanePoint, sheet: int) -> np.ndarray:
+def _cone_z(p: PlanePoint, sheet: int) -> float:
+    """Third coordinate of the cone lift q = (x, y, sheet*r, 1) of p."""
     if sheet not in (1, -1):
         raise SymmetryError("sheet must be +1 or -1")
-    return np.array([p.x, p.y, sheet * p.r, 1.0])
+    return sheet * p.r
 
 
 def act_plane(g: GroupElement, p: PlanePoint, sheet: int = 1) -> PlanePoint:
-    """Projective action through the cone lift: q -> A q / (lam + b.q)."""
-    q = _lift4(p, sheet)
-    image = g.matrix @ q
-    w = image[3]
-    if abs(w) <= CHART_TOL * float(np.linalg.norm(q)):
+    """Projective action through the cone lift: q -> A q / (lam + b.q), each row
+    times q summed as (x, z) terms plus (y, 1) terms, as numpy's 4x4 matmul pairs them."""
+    px, py, pz = p.x, p.y, _cone_z(p, sheet)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), _, (w0, w1, w2, w3) = g.rows
+    w = (w0 * px + w2 * pz) + (w1 * py + w3)
+    if abs(w) <= CHART_TOL * math.sqrt(px * px + py * py + pz * pz + 1.0):
         raise ChartExitError("image leaves the affine chart")
-    x, y = image[0] / w, image[1] / w
+    x = ((a0 * px + a2 * pz) + (a1 * py + a3)) / w
+    y = ((b0 * px + b2 * pz) + (b1 * py + b3)) / w
     if math.hypot(x, y) <= 1e-12:
         raise ConeVertexError("image crosses the cone vertex")
     return PlanePoint(x, y)
@@ -239,9 +247,12 @@ def act_dual(g: GroupElement, v: MinkVec) -> MinkVec:
 
 
 def vf_plane(x: AlgebraElement, p: PlanePoint, sheet: int = 1) -> tuple[float, float]:
-    """Infinitesimal plane action: gamma'(0) for gamma(t) = pi(e^{tX} q), as (vx, vy)."""
-    u = (x.matrix @ _lift4(p, sheet)).tolist()
-    return (u[0] - p.x * u[3], u[1] - p.y * u[3])
+    """Infinitesimal plane action: gamma'(0) for gamma(t) = pi(e^{tX} q), as (vx, vy):
+    u[:2] - (x, y) u[3] for u = matrix @ q, each row summed as in act_plane."""
+    q, x2, x3, x4, x5, x6, x7 = _entries(x)
+    px, py, pz = p.x, p.y, _cone_z(p, sheet)
+    u3 = (x5 * px + x7 * pz) + (x6 * py - 3.0 * q)
+    return ((q * px + x3 * pz) - x2 * py - px * u3, (x2 * px + x4 * pz) + q * py - py * u3)
 
 
 def _entries(x: AlgebraElement) -> tuple[float, ...]:

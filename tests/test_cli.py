@@ -199,6 +199,32 @@ def test_ode_wunschmann_rejects_non_finite_alpha(capsys, alpha):
     assert f"alpha={alpha}" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("alpha,cause", [
+    ("-400", "overflows a double"),
+    ("-1e308", "overflows a double"),
+    ("400", "underflows"),
+    ("1e308", "underflows"),
+])
+def test_ode_wunschmann_names_the_size_failure_and_alpha(capsys, alpha, cause):
+    # r^alpha is positive on the box: a large |alpha| can only under- or overflow
+    code, out, err = run(capsys, "ode", "wunschmann", f"--alpha={alpha}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: r^alpha ") and err.count("\n") == 1
+    assert cause in err and f"alpha={float(alpha)!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("f", [
+    "y*2^100000000",  # the folded constant would have 10^8 bits
+    "p^4*2^60000",  # folds, but does not fit a double
+])
+def test_ode_invariants_oversized_constants_are_domain_errors(capsys, f):
+    code, out, err = run(capsys, "ode", "invariants", "--f", f, "--at", "x=0.1,y=0.5,p=0.3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_orbit_sample_count_is_capped(capsys):
     # the argument type rejects the count before anything is sampled
     with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import gc
 import math
 import pickle
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -522,3 +523,33 @@ def test_trig_of_infinity_is_a_domain_error(name, big):
     with pytest.raises(MathDomainError) as err:
         evaluate(parse(f"{name}(p*p*p)"), {"p": big})
     assert err.value.function == name
+
+
+def test_constant_powers_fold_up_to_the_size_limit():
+    assert ex.pow_(Const(Fraction(2)), ex.MAX_POWER_BITS).value == 2**ex.MAX_POWER_BITS
+    assert ex.pow_(Const(Fraction(-1)), 10**12).value == 1  # |1|^n stays one bit
+    assert parse("2^-3").value == Fraction(1, 8)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ex.pow_(Const(Fraction(2)), ex.MAX_POWER_BITS + 1),
+    lambda: ex.pow_(Const(Fraction(1, 3)), -10**8),
+    lambda: parse("y*2^100000000"),
+])
+def test_oversized_constant_powers_are_refused_before_they_are_built(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ex.ExprSizeError, match=f"exceed {ex.MAX_POWER_BITS} bits"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 2^100000000 alone would take 12.5 MB
+    assert issubclass(ex.ExprSizeError, ex.ExprError)
+    assert not issubclass(ex.ExprSizeError, ParseError)
+
+
+def test_constant_overflow_message_gives_the_size_not_the_digits():
+    # printing 2^60000 in decimal exceeds Python's integer-to-string limit
+    with pytest.raises(ex.FloatOverflowError, match=r"near 2\^60000 overflows"):
+        evaluate(parse("p*2^60000"), {"p": 1.0})

@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from keplersym import symmetry
 from keplersym.minkowski import MinkVec, norm2
 from keplersym.orbit import OrbitError, PlanePoint, from_abc, membership_residual, sample
 from keplersym.symmetry import (
     J3,
     _expm,
     AlgebraElement,
+    ChartExitError,
+    ConeVertexError,
     FlowExitError,
     SymmetryError,
     act_dual,
@@ -315,6 +320,97 @@ def test_flows_integrate_the_public_fields():
 def test_plane_action_rejects_other_sheets(call):
     with pytest.raises(SymmetryError, match="sheet"):
         call(PlanePoint(1.0, 0.5))
+
+
+def _seeded_elements(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield exp_map(AlgebraElement(*rng.uniform(-1.5, 1.5, size=7)), rng.uniform(-1.0, 1.0)), rng
+
+
+def test_group_element_rows_equal_the_matrix():
+    for g, _ in _seeded_elements(21, 5):
+        assert g.rows == tuple(tuple(row) for row in g.matrix.tolist())
+        assert all(type(v) is float for row in g.rows for v in row)
+        assert g.rows is g.rows  # computed once
+
+
+def test_act_plane_is_the_projected_matrix_image():
+    # the float kernel against pi(g.matrix @ q), q = (x, y, sheet*r, 1): equal where
+    # numpy's matmul pairs the terms as act_plane does, and otherwise within two
+    # ulp per unit of the condition number kappa of the numerator and w sums
+    for g, rng in _seeded_elements(22, 40):
+        for _ in range(25):
+            p = PlanePoint(*rng.uniform(-4.0, 4.0, size=2))
+            for sheet in (1, -1):
+                q4 = np.array([p.x, p.y, sheet * p.r, 1.0])
+                u, terms = g.matrix @ q4, np.abs(g.matrix * q4).sum(axis=1)
+                try:
+                    q = act_plane(g, p, sheet)
+                except ChartExitError:
+                    assert abs(u[3]) <= 1e-9 * terms[3]
+                    continue
+                for k, got in enumerate((q.x, q.y)):
+                    kappa = terms[k] / abs(u[k]) + terms[3] / abs(u[3])
+                    assert abs(got - u[k] / u[3]) <= 2.0 * kappa * math.ulp(u[k] / u[3])
+
+
+def test_act_plane_chart_exit_and_cone_vertex():
+    # w = lam + b.q = 1 - x vanishes at (1, 0)
+    with pytest.raises(ChartExitError, match="affine chart"):
+        act_plane(group_element(np.eye(3), (-1.0, 0.0, 0.0), 1.0), PlanePoint(1.0, 0.0))
+    # a dilation by 1e-13 puts the image inside the vertex tolerance
+    with pytest.raises(ConeVertexError, match="cone vertex"):
+        act_plane(group_element(1e-13 * np.eye(3), (0.0, 0.0, 0.0), 1.0), PlanePoint(1.0, 0.0))
+
+
+def test_vf_plane_is_the_matrix_formula():
+    # u[:2] - (x, y) u[3] for u = X q, relative to the size of its terms
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        gen = AlgebraElement(*rng.uniform(-3.0, 3.0, size=7))
+        p = PlanePoint(*rng.uniform(-4.0, 4.0, size=2))
+        for sheet in (1, -1):
+            u = gen.matrix @ np.array([p.x, p.y, sheet * p.r, 1.0])
+            got = vf_plane(gen, p, sheet)
+            for k, c in enumerate((p.x, p.y)):
+                terms = np.abs(gen.matrix[k] * [p.x, p.y, p.r, 1.0]).sum() + abs(c * u[3])
+                assert abs(got[k] - (u[k] - c * u[3])) <= 2e-16 * terms
+
+
+def test_flow_evaluates_vf_plane_four_times_per_step(monkeypatch):
+    # the benchmark's layer trace counts RK4 steps through these calls
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vf_plane(*args)
+
+    monkeypatch.setattr(symmetry, "vf_plane", counted)
+    flow(algebra(x2=1.0), PlanePoint(1.0, 0.5), 0.3, steps=7)
+    assert len(calls) == 28
+
+
+_bounded = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_bounded, min_size=7, max_size=7), st.floats(-2.0, 2.0),
+       st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.sampled_from((1, -1)),
+       st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+def test_actions_raise_only_symmetry_or_orbit_errors(coords, t, x, y, sheet, abc):
+    try:
+        g = exp_map(AlgebraElement(*coords), t)
+    except SymmetryError:
+        return
+    try:
+        act_plane(g, PlanePoint(x, y), sheet)
+    except (SymmetryError, OrbitError):
+        pass
+    try:
+        act_dual(g, MinkVec(*abc))
+    except (SymmetryError, OrbitError):
+        pass
 
 
 def test_flow_stage_on_the_origin_is_an_orbit_error():

@@ -7,8 +7,9 @@ table is derived from it); `orbit` inspects or samples a single orbit;
 transforms point files through the special maps; `envelope` emits
 envelope curve data with family samples.
 
-Exit codes: 0 all checks pass; 1 verification failure or domain error;
-2 usage or expression-parse error.
+Exit codes: 0 all checks pass; 1 verification failure, domain error or
+internal error (one `error:` line on stderr, never a traceback); 2 usage
+or expression-parse error.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .verify import SUITES, run_suites
 
 SEED_ENV_VAR = "KEPLER_SYM_SEED"
 MAX_SAMPLES = 100_000  # the largest `orbit sample --n`
+MAX_MEMBERS = 1_000  # the largest `envelope --members`
 
 
 class CliError(Exception):
@@ -65,10 +67,12 @@ def _print_json(payload) -> None:
     print(text)
 
 
-def _positive_int(text: str) -> int:
+def _member_count(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
+    if n > MAX_MEMBERS:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_MEMBERS} members, got {n}")
     return n
 
 
@@ -138,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_env.add_argument("--energy", type=float, help="fixed energy E < 0")
     p_env.add_argument("--x0", type=float, help="fixed point abscissa (energy)")
     p_env.add_argument("--area", type=float, help="fixed area (hooke)")
-    p_env.add_argument("--members", type=_positive_int, default=20)
+    p_env.add_argument("--members", type=_member_count, default=20)
     p_env.set_defaults(func=cmd_envelope)
 
     return parser
@@ -383,6 +387,10 @@ def main(argv=None) -> int:
         return 2
     except (CliError, OrbitError, inv.InvariantError, kmaps.MapError, ex.ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except Exception as err:  # anything unnamed (MemoryError, a bug) is one line, not a traceback
+        message = " ".join(str(err).split())
+        print(f"error: internal error: {type(err).__name__}: {message}", file=sys.stderr)
         return 1
 
 

@@ -7,6 +7,8 @@ sin, cos, sqrt, ln.  An expression is a hash-consed DAG: nodes are
 interned at construction (weakly, so `==` is identity and a node dies
 with its last user) and carry their free variables and memoized
 derivatives; an evaluation computes each distinct subexpression once.
+The derivative of a subexpression that lacks the variable is `ZERO`,
+found from its free variables with no descent into it.
 
 Simplification is deliberately local (constant folding, dropping zero
 terms and unit factors); expression equality is decided by seeded
@@ -375,11 +377,15 @@ def _subst(e: Expr, name: str, new: Expr, seen: dict) -> Expr:
 # --------------------------------------------------------------------------
 
 def diff(e: Expr, v: str) -> Expr:
-    """Exact symbolic derivative of `e` with respect to variable `v`, memoized on `e`."""
-    if isinstance(e, Const):
+    """Exact symbolic derivative of `e` with respect to variable `v`, memoized on `e`.
+
+    A subexpression without `v` (a constant included) is `ZERO` at once, with
+    no descent into its children.
+    """
+    if v not in e._fv:
         return ZERO
     if isinstance(e, Var):
-        return ONE if e.name == v else ZERO
+        return ONE
     memo = e._diffs
     if memo is None:
         memo = {}

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import keplersym
-from keplersym.cli import MAX_SAMPLES, main
+from keplersym import cli
+from keplersym.cli import MAX_MEMBERS, MAX_SAMPLES, main
 
 
 def run(capsys, *argv):
@@ -368,6 +369,20 @@ def test_envelope_members_must_be_positive(capsys):
     assert exc.value.code == 2
 
 
+def test_envelope_members_are_capped_before_the_family_is_built(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setattr(cli, "cmd_envelope", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["envelope", "energy", "--energy", "-0.5", "--x0", "1",
+              "--members", str(MAX_MEMBERS + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"at most {MAX_MEMBERS} members" in err
+    assert "Traceback" not in err
+
+
 def test_envelope_energy(capsys):
     code, out, _ = run(capsys, "envelope", "energy", "--energy", "-0.5", "--x0", "1")
     assert code == 0
@@ -438,3 +453,16 @@ def test_non_finite_results_are_domain_errors(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [MemoryError("out of memory"), RuntimeError("two\nlines")])
+def test_unexpected_errors_are_one_line_internal_errors(capsys, monkeypatch, error):
+    def fail(_args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_orbit_info", fail)
+    code, out, err = run(capsys, "orbit", "info", "--a", "0", "--b", "0", "--c", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: internal error: {type(error).__name__}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

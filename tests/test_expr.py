@@ -111,6 +111,23 @@ def test_diff_of_closed_expression_is_zero():
     assert diff(parse("3/4 + 2^3"), "x") == ex.ZERO
 
 
+@pytest.mark.parametrize("e", [
+    Add((Var("y"), Var("z"))),
+    Mul((Var("y"), Var("z"))),
+    Div(Var("y"), Var("z")),
+    Div(Const(Fraction(3)), Var("z")),
+    Pow(Var("y"), Fraction(3)),
+    Func("sin", Var("y")),
+], ids=["add", "mul", "div", "const-over-var", "pow", "func"])
+def test_diff_without_the_variable_is_zero_with_no_descent(monkeypatch, e):
+    calls = []
+    real = ex._diff
+    monkeypatch.setattr(ex, "_diff", lambda n, v: calls.append(n) or real(n, v))
+    assert diff(e, "x") is ex.ZERO
+    assert diff(ex.mul(e, Var("x")), "x") is e  # the product rule keeps one term
+    assert all("x" in free_vars(n) for n in calls)
+
+
 def test_eval_null_vector():
     e = parse("a^2 + b^2 - c^2")
     assert evaluate(e, {"a": 3.0, "b": 4.0, "c": 5.0}) == 0.0
@@ -462,6 +479,24 @@ def test_subst_matches_the_tree_walk_on_the_zero_energy_i2():
     q = Var("q")
     assert ex.subst(i2, "rho1", q) is _tree_subst(i2, "rho1", q)
     assert ex.subst(i2, "absent", q) is i2
+
+
+def test_kepler_i1_is_zero_itself():
+    from keplersym import invariants as inv
+
+    fixed_m = inv.fixed_m_ode(inv.kepler_force(), 1)
+    box = inv.kepler_fixed_e_boxes(-1.0)[-1]
+    fixed_e = inv.fixed_e_ode(inv.kepler_force(), inv.kepler_potential(), -1, box=box)
+    assert inv.i1(fixed_m) is ex.ZERO
+    assert inv.i1(fixed_e) is ex.ZERO
+
+
+def test_zero_energy_i2_carries_no_derivatives_of_constants():
+    from keplersym import invariants as inv
+
+    i2 = inv.i2(inv.fixed_e_ode(inv.kepler_force(), inv.kepler_potential(), 0))
+    nodes, _ = _dag_edges(i2)
+    assert len(nodes) <= 150
 
 
 def test_subst_calls_scale_with_the_dag_not_the_tree(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -195,3 +196,84 @@ def test_fixed_energy_scan_all_non_flat():
 def test_flatness_residual_scale():
     # non-flat cases sit far above the zero-test threshold
     assert flatness_residual(kepler_fixed_e(-1)) > 1e-3
+
+
+# --------------------------------------------------------------------------
+# Cross-check against sympy, rebuilt from the defining formulas
+# --------------------------------------------------------------------------
+
+PARSED_BOX = {"x": (-1.0, 1.0), "y": (1.5, 3.0), "p": (-1.0, 1.0)}
+
+
+def _sympy_tresse(sp, f, x, y, p):
+    """(i1, i2) of y'' = f from their definitions: f_pppp and the 9-term combination."""
+
+    def total(e):
+        return sp.diff(e, x) + p * sp.diff(e, y) + f * sp.diff(e, p)
+
+    fp = sp.diff(f, p)
+    fpp, fy, fpy = sp.diff(fp, p), sp.diff(f, y), sp.diff(fp, y)
+    dfpp = total(fpp)
+    i2_ref = total(dfpp) - 4 * total(fpy) + fp * (4 * fpy - dfpp) - 3 * fpp * fy + 6 * sp.diff(fy, y)
+    return sp.diff(f, p, 4), i2_ref
+
+
+def _sympy_wunschmann(sp, force, th, rho, r1, r2):
+    """F_rho + (D - (2/3) F_rho'') K with F the central-force 3rd-order right-hand side."""
+    big_f = r1 * ((r2 + rho) * (sp.diff(force, rho) / force - 2 / rho) - 1)
+
+    def total(e):
+        return sp.diff(e, th) + r1 * sp.diff(e, rho) + r2 * sp.diff(e, r1) + big_f * sp.diff(e, r2)
+
+    f_r2 = sp.diff(big_f, r2)
+    k = total(f_r2) / 6 - f_r2 ** 2 / 9 - sp.diff(big_f, r1) / 2
+    return (sp.diff(big_f, rho) + total(k) - sp.Rational(2, 3) * f_r2 * k,)
+
+
+def _case(sp, name):
+    """(our expressions, sympy references, box) of one cross-check case."""
+    from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
+
+    x, y, p = sp.symbols("x y p")
+    th, rho, r1, r2 = sp.symbols("theta rho rho1 rho2")
+    if name.startswith("parsed:"):
+        text = name.split(":", 1)[1]
+        ode = SecondOrderODE(parse(text), dict(PARSED_BOX))
+        f = parse_expr(text, transformations=standard_transformations + (convert_xor,))
+        return (i1(ode), i2(ode)), _sympy_tresse(sp, f, x, y, p), ode.box
+    if name == "fixed-m":  # force -r^(-5/2) at angular momentum 3/2: rho'' = -f(1/rho)/(M^2 rho^2) - rho
+        ode = fixed_m_ode(power_force(Fraction(-5, 2)), Fraction(3, 2))
+        force = -(1 / rho) ** sp.Rational(-5, 2)
+        f = -force / (sp.Rational(9, 4) * rho ** 2) - rho
+        return (i1(ode), i2(ode)), _sympy_tresse(sp, f, th, rho, r1), ode.box
+    if name == "fixed-e":  # Kepler at E = 1/2, with M^2 = 2 (E - V) / (rho'^2 + rho^2) eliminated
+        ode = fixed_e_ode(kepler_force(), kepler_potential(), Fraction(1, 2))
+        force, potential = -rho ** 2, -rho
+        f = -rho - force * (r1 ** 2 + rho ** 2) / (2 * rho ** 2 * (sp.Rational(1, 2) - potential))
+        return (i1(ode), i2(ode)), _sympy_tresse(sp, f, th, rho, r1), ode.box
+    # the Wunschmann residual of the force 2 rho^(1/2), in rho = 1/r
+    ode = central_3rd_order(ex.mul(2, ex.pow_(Var("rho"), Fraction(1, 2))))
+    force = 2 * sp.sqrt(rho)
+    return (wunschmann_residual(ode),), _sympy_wunschmann(sp, force, th, rho, r1, r2), ode.box
+
+
+@pytest.mark.parametrize("name", [
+    "parsed:(y^2 + p^2)/(2*(y + 3)) - y",
+    "parsed:sin(2*x)*p^3 + y*p - 5/3",
+    "parsed:sqrt(3 + p^2)*7/(2*y) + x*p^2",
+    "fixed-m",
+    "fixed-e",
+    "wunschmann",
+])
+def test_invariants_agree_with_sympy(name):
+    sp = pytest.importorskip("sympy")
+    ours, refs, box = _case(sp, name)
+    rng = random.Random(f"sympy-{name}")
+    for _ in range(3):
+        point = {n: Fraction(rng.randint(int(16 * lo), int(16 * hi)), 16) for n, (lo, hi) in box.items()}
+        point.setdefault("theta", Fraction(1, 3))
+        at = {sp.Symbol(n): sp.Rational(v.numerator, v.denominator) for n, v in point.items()}
+        floats = {n: float(v) for n, v in point.items()}
+        for e, ref in zip(ours, refs):
+            r = float(ref.subs(at))
+            assert abs(evaluate(e, floats) - r) <= 1e-9 * (1.0 + abs(r))

@@ -6,17 +6,22 @@ quotients, powers with constant exponent, and the unary functions
 sin, cos, sqrt, ln.  An expression is a hash-consed DAG: nodes are
 interned at construction (weakly, so `==` is identity and a node dies
 with its last user) and carry their free variables and memoized
-derivatives; an evaluation computes each distinct subexpression once.
+derivatives; an evaluation computes each distinct subexpression once,
+and a constant converts to a double once, on its first evaluation.
 The derivative of a subexpression that lacks the variable is `ZERO`,
-found from its free variables with no descent into it.
+found from its free variables with no descent into it.  At most
+MAX_LIVE_NODES nodes live at once: building one more is an ExprSizeError.
 
 Simplification is deliberately local (constant folding, dropping zero
-terms and unit factors); expression equality is decided by seeded
+terms and unit factors); `add` and `mul` fold from their first constant,
+with no zero or unit accumulator, to the node `0 + c1 + ...` and
+`1 * c1 * ...` would give.  Expression equality is decided by seeded
 randomized evaluation (`is_zero`), never by canonical forms.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import weakref
@@ -36,6 +41,9 @@ ZERO_TEST_SEED = 0x5EED
 # Bits of the largest constant power folded exactly; verify and the ode
 # queries fold none above 3 bits.
 MAX_POWER_BITS = 1 << 16
+
+# Nodes alive at once; every verify and ode-queries expression peaks near 250.
+MAX_LIVE_NODES = 20_000
 
 
 class ExprError(Exception):
@@ -81,7 +89,7 @@ class FloatOverflowError(EvalError):
 
 
 class ExprSizeError(ExprError):
-    """An exact constant would grow past MAX_POWER_BITS."""
+    """An exact constant would grow past MAX_POWER_BITS, or the nodes past MAX_LIVE_NODES."""
 
 
 # --------------------------------------------------------------------------
@@ -90,6 +98,8 @@ class ExprSizeError(ExprError):
 
 _SET = object.__setattr__
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_LIVE = _TABLE.data  # key -> KeyedRef, read and filled directly: no Python-level call per node
+_DROP = _TABLE._remove  # a dead node's KeyedRef callback: deletes its key
 
 
 class _Node:
@@ -122,26 +132,33 @@ def _number_key(v) -> tuple:
 
 def _intern(cls, payload, kids: tuple, values: tuple, fv: frozenset[str] = frozenset()):
     key = (cls, payload, *map(id, kids))
-    node = _TABLE.get(key)
-    if node is not None:
-        return node
+    ref = _LIVE.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    if len(_LIVE) >= MAX_LIVE_NODES:
+        gc.collect()  # derivative memos form cycles: count only nodes something still holds
+        if len(_LIVE) >= MAX_LIVE_NODES:
+            raise ExprSizeError(f"an expression would hold more than {MAX_LIVE_NODES} live nodes")
     node = object.__new__(cls)
-    for name, value in zip(cls._fields, values):
+    for name, value in zip(cls.__slots__, values):
         _SET(node, name, value)
     for k in kids:
         if not k._fv <= fv:
             fv = fv | k._fv if fv else k._fv
     _SET(node, "_fv", fv)
     _SET(node, "_diffs", None)
-    _TABLE[key] = node
+    _LIVE[key] = weakref.KeyedRef(node, _DROP, key)
     return node
 
 
 class Const(_Node):
-    __slots__ = _fields = ("value",)  # Fraction kept exact; float for decimals/irrationals
+    __slots__ = ("value", "_double")  # _double: the value's float, set by its first evaluation
+    _fields = ("value",)  # Fraction kept exact; float for decimals/irrationals
 
     def __new__(cls, value: Number):
-        return _intern(cls, _number_key(value), (), (value,))
+        return _intern(cls, _number_key(value), (), (value, None))
 
 
 class Var(_Node):
@@ -217,16 +234,22 @@ def _is_const(e: Expr, v=None) -> bool:
 def add(*terms) -> Expr:
     """Sum with flattening, constant folding and zero dropping."""
     out: list[Expr] = []
-    acc: Number = Fraction(0)
+    acc = None
     for t in terms:
         t = t if isinstance(t, _Node) else const(t)
         for u in t.terms if type(t) is Add else (t,):
             if type(u) is Const:
-                acc = _num_add(acc, u.value)
+                acc = u.value if acc is None else _num_add(acc, u.value)
             else:
                 out.append(u)
-    if acc != 0 or not out:
-        out.append(Const(acc))
+    if acc is None:
+        if not out:
+            return ZERO
+    else:
+        if type(acc) is not Fraction:
+            acc = _float(acc) + 0.0  # as 0 + acc: -0.0 folds to 0.0
+        if acc != 0 or not out:
+            out.append(Const(acc))
     if len(out) == 1:
         return out[0]
     return Add(tuple(out))
@@ -235,20 +258,28 @@ def add(*terms) -> Expr:
 def mul(*factors) -> Expr:
     """Product with flattening, constant folding, 0*x -> 0 and x*1 -> x."""
     out: list[Expr] = []
-    acc: Number = Fraction(1)
+    acc = None
     for f in factors:
+        kind = type(f)
+        if kind is not Mul and kind is not Const and isinstance(f, _Node):
+            out.append(f)  # nothing to flatten or fold
+            continue
         f = f if isinstance(f, _Node) else const(f)
         for g in f.factors if type(f) is Mul else (f,):
             if type(g) is Const:
-                acc = _num_mul(acc, g.value)
+                acc = g.value if acc is None else _num_mul(acc, g.value)
             else:
                 out.append(g)
-    if acc == 0:
-        return Const(acc)
-    if not out:
-        return Const(acc)
-    if acc != 1:
-        out.insert(0, Const(acc))
+    if acc is None:
+        if not out:
+            return ONE
+    else:
+        if type(acc) is not Fraction:
+            acc = _float(acc)  # as 1 * acc
+        if acc == 0 or not out:
+            return Const(acc)
+        if acc != 1:
+            out.insert(0, Const(acc))
     if len(out) == 1:
         return out[0]
     return Mul(tuple(out))
@@ -261,7 +292,7 @@ def div(num, den) -> Expr:
         if isinstance(num, Const):
             if isinstance(num.value, Fraction) and isinstance(den.value, Fraction):
                 return Const(num.value / den.value)
-            return Const(float(num.value) / float(den.value))
+            return Const(_float(num.value) / _float(den.value))
         if den.value == 1:
             return num
     return Div(num, den)
@@ -325,13 +356,13 @@ def ln(arg) -> Expr:
 def _num_add(a: Number, b: Number) -> Number:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
-    return float(a) + float(b)
+    return _float(a) + _float(b)
 
 
 def _num_mul(a: Number, b: Number) -> Number:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
-    return float(a) * float(b)
+    return _float(a) * _float(b)
 
 
 # --------------------------------------------------------------------------
@@ -461,7 +492,10 @@ def _eval(e: Expr, b: Mapping[str, float], seen: dict) -> float:
         return v
     kind = type(e)
     if kind is Const:
-        v = _float(e.value)
+        v = e._double
+        if v is None:  # an overflowing constant stays None and raises at every evaluation
+            v = _float(e.value)
+            _SET(e, "_double", v)
     elif kind is Var:
         if e.name not in b:
             raise UnboundVariableError(e.name)
@@ -777,48 +811,3 @@ def _parse_base(tz: _Tokenizer) -> Expr:
             raise ParseError("expected ')'", cpos)
         return e
     raise ParseError("expected a number, identifier or '('", pos)
-
-
-# --------------------------------------------------------------------------
-# Printing (round-trips through parse up to evaluation equality)
-# --------------------------------------------------------------------------
-
-def to_str(e: Expr) -> str:
-    return _fmt(e, 0)
-
-
-def _fmt_number(v: Number) -> str:
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    return repr(float(v))
-
-
-def _fmt(e: Expr, parent_prec: int) -> str:
-    # precedence: add 1, mul/div 2, pow 3, atom 4
-    if isinstance(e, Const):
-        s = _fmt_number(e.value)
-        prec = 4 if not s.startswith("-") else 1
-        prec = 2 if "/" in s and not s.startswith("-") else prec
-        return f"({s})" if prec < parent_prec else s
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Add):
-        s = " + ".join(_fmt(t, 2) for t in e.terms)
-        return f"({s})" if parent_prec > 1 else s
-    if isinstance(e, Mul):
-        s = " * ".join(_fmt(f, 3) for f in e.factors)
-        return f"({s})" if parent_prec > 2 else s
-    if isinstance(e, Div):
-        s = f"{_fmt(e.num, 3)} / {_fmt(e.den, 4)}"
-        return f"({s})" if parent_prec > 2 else s
-    if isinstance(e, Pow):
-        exp = _fmt_number(e.exponent)
-        if "/" in exp or "-" in exp or "." in exp:
-            exp = f"({exp})"
-        s = f"{_fmt(e.base, 4)}^{exp}"
-        return f"({s})" if parent_prec > 3 else s
-    if isinstance(e, Func):
-        return f"{e.name}({_fmt(e.arg, 0)})"
-    raise TypeError(f"not an expression: {e!r}")

@@ -15,6 +15,7 @@ import pytest
 import keplersym
 from keplersym import cli
 from keplersym.cli import MAX_MEMBERS, MAX_SAMPLES, main
+from keplersym.expr import MAX_LIVE_NODES
 
 
 def run(capsys, *argv):
@@ -218,12 +219,22 @@ def test_ode_wunschmann_names_the_size_failure_and_alpha(capsys, alpha, cause):
 @pytest.mark.parametrize("f", [
     "y*2^100000000",  # the folded constant would have 10^8 bits
     "p^4*2^60000",  # folds, but does not fit a double
+    "10^400/2.0*p",  # an exact constant folded into a float: in div,
+    "(10^400 + 0.5)*p",  # in a sum
+    "10^400*0.5*p",  # and in a product
 ])
 def test_ode_invariants_oversized_constants_are_domain_errors(capsys, f):
     code, out, err = run(capsys, "ode", "invariants", "--f", f, "--at", "x=0.1,y=0.5,p=0.3")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "internal error" not in err
+
+
+def test_ode_invariants_runaway_nesting_hits_the_node_budget(capsys):
+    f = "sin(" * 40 + "p" + ")" * 40  # within the parse depth; its i2 would take 192k nodes
+    code, out, err = run(capsys, "ode", "invariants", "--f", f, "--at", "x=0.1,y=0.5,p=0.3")
+    assert (code, out) == (1, "")
+    assert err == f"error: an expression would hold more than {MAX_LIVE_NODES} live nodes\n"
 
 
 def test_orbit_sample_count_is_capped(capsys):

@@ -24,9 +24,7 @@ from .orbit import (
     fit,
     from_abc,
     geometry,
-    lift,
     newton_flow,
-    project,
     radius,
     sample,
 )
@@ -72,12 +70,10 @@ __all__ = [
     "flow",
     "from_abc",
     "geometry",
-    "lift",
     "newton_flow",
     "norm2",
     "pencil_classify",
     "point_plane",
-    "project",
     "radius",
     "sample",
 ]

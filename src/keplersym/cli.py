@@ -228,12 +228,18 @@ def _parse_bindings(text: str) -> dict[str, float]:
         if not chunk:
             continue
         name, _, value = chunk.partition("=")
-        if not _ or not name.strip():
+        name = name.strip()
+        if not _ or not name:
             raise CliError(f"bad binding {chunk!r}; expected name=value")
+        if name in out:
+            raise CliError(f"{name!r} is bound twice")
         try:
-            out[name.strip()] = float(value)
+            v = float(value)
         except ValueError as err:
             raise CliError(f"bad binding value in {chunk!r}") from err
+        if not math.isfinite(v):
+            raise CliError(f"binding values must be finite, got {chunk!r}")
+        out[name] = v
     return out
 
 
@@ -244,6 +250,8 @@ def cmd_ode_invariants(args) -> int:
     ode = inv.SecondOrderODE(rhs, box)
     v1 = ex.evaluate(inv.i1(ode), bindings)
     v2 = ex.evaluate(inv.i2(ode), bindings)
+    if not (math.isfinite(v1) and math.isfinite(v2)):
+        raise CliError(f"the invariants are not finite at these bindings: I1 = {v1!r}, I2 = {v2!r}")
     print(f"I1 = {v1!r}")
     print(f"I2 = {v2!r}")
     return 0

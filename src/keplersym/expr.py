@@ -25,7 +25,6 @@ import gc
 import math
 import random
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -568,8 +567,10 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """Evaluate to an IEEE double.  All free variables must be bound.
 
     Reports unbound variables, division by zero, sqrt/ln (or fractional
-    power) of negative arguments, sin/cos of infinities and overflow of a
-    double through distinct error types.
+    power) of negative arguments, sin/cos of infinities and a constant,
+    power or sum that overflows a double through distinct error types.
+    An overflowing product or quotient, or a non-finite binding, passes
+    unchecked; `max_residual` reads the result as inf and the CLI rejects it.
     """
     return _eval(e, bindings, {})
 
@@ -585,37 +586,13 @@ def evaluate_tracked(e: Expr, bindings: Mapping[str, float]) -> tuple[float, flo
 # Jet-space total derivative
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JetContext:
-    """Total-derivative context along solutions of an ODE.
-
-    `jet_vars` lists the jet coordinates in prolongation order, e.g.
-    (x, y, p) for a 2nd-order equation y'' = f(x, y, p) with p = y', or
-    (theta, rho, rho1, rho2) for a 3rd-order equation.  `rhs` is the
-    top-order right-hand side; `params` are names treated as constants.
-    """
-
-    rhs: Expr
-    jet_vars: tuple[str, ...]
-    params: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if len(self.jet_vars) < 3:
-            raise ValueError("need at least (x, y, p) jet variables")
-        extra = free_vars(self.rhs) - set(self.jet_vars) - self.params
-        if extra:
-            raise ValueError(
-                f"RHS has free variables outside the declared jet variables: {sorted(extra)}"
-            )
-
-
-def total_derivative(e: Expr, ctx: JetContext) -> Expr:
-    """D(e) along the ODE flow: D = d/dx + p d/dy + ... + rhs d/d(top)."""
-    names = ctx.jet_vars
-    terms = [diff(e, names[0])]
-    for i in range(1, len(names) - 1):
-        terms.append(mul(Var(names[i + 1]), diff(e, names[i])))
-    terms.append(mul(ctx.rhs, diff(e, names[-1])))
+def total_derivative(e: Expr, rhs: Expr, jet_vars: tuple[str, ...]) -> Expr:
+    """D(e) = d/dx + p d/dy + ... + rhs d/d(top) along the ODE top' = rhs, where
+    `jet_vars` lists the jet coordinates in prolongation order, e.g. (x, y, p)."""
+    terms = [diff(e, jet_vars[0])]
+    for i in range(1, len(jet_vars) - 1):
+        terms.append(mul(Var(jet_vars[i + 1]), diff(e, jet_vars[i])))
+    terms.append(mul(rhs, diff(e, jet_vars[-1])))
     return add(*terms)
 
 

@@ -16,12 +16,12 @@ condition for such 3rd-order equations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import expr as ex
-from .expr import Expr, JetContext, Var, diff, is_zero, max_residual, total_derivative
+from .expr import Expr, Var, diff, max_residual, total_derivative
 
 Box = Mapping[str, tuple[float, float]]
 
@@ -47,72 +47,55 @@ class InvariantError(Exception):
 
 
 @dataclass(frozen=True)
-class SecondOrderODE:
-    """y'' = f(x, y, p) with p = y', plus an evaluation box."""
+class ODE:
+    """An ODE (last jet coordinate)' = `rhs`, plus an evaluation box.
+
+    `jet_vars` lists the jet coordinates in prolongation order: (x, y, p)
+    for y'' = f(x, y, p) with p = y', or (theta, rho, rho1, rho2) for
+    rho''' = F(theta, rho, rho', rho'').  `params` are names treated as
+    constants.
+    """
 
     rhs: Expr
     box: dict[str, tuple[float, float]]
-    x: str = "x"
-    y: str = "y"
-    p: str = "p"
+    jet_vars: tuple[str, ...] = ("x", "y", "p")
     params: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        extra = ex.free_vars(self.rhs) - {self.x, self.y, self.p} - self.params
+        extra = ex.free_vars(self.rhs) - set(self.jet_vars) - self.params
         if extra:
             raise InvariantError(f"RHS has stray free variables: {sorted(extra)}")
 
-    def context(self) -> JetContext:
-        return JetContext(self.rhs, (self.x, self.y, self.p), self.params)
 
-
-@dataclass(frozen=True)
-class ThirdOrderODE:
-    """rho''' = F(theta, rho, rho', rho'') plus an evaluation box."""
-
-    rhs: Expr
-    box: dict[str, tuple[float, float]]
-    theta: str = "theta"
-    rho: str = "rho"
-    rho1: str = "rho1"
-    rho2: str = "rho2"
-    params: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        names = {self.theta, self.rho, self.rho1, self.rho2}
-        extra = ex.free_vars(self.rhs) - names - self.params
-        if extra:
-            raise InvariantError(f"RHS has stray free variables: {sorted(extra)}")
-
-    def context(self) -> JetContext:
-        return JetContext(self.rhs, (self.theta, self.rho, self.rho1, self.rho2), self.params)
+SecondOrderODE = ODE  # kept by name: the CLI, verify and perfbench call SecondOrderODE(rhs, box)
 
 
 # --------------------------------------------------------------------------
 # Relative invariants of 2nd-order ODEs
 # --------------------------------------------------------------------------
 
-def i1(ode: SecondOrderODE) -> Expr:
+def i1(ode: ODE) -> Expr:
     """First relative invariant: f_pppp (vanishes iff f is cubic in p)."""
+    _, _, p = ode.jet_vars
     e = ode.rhs
     for _ in range(4):
-        e = diff(e, ode.p)
+        e = diff(e, p)
     return e
 
 
-def i2(ode: SecondOrderODE) -> Expr:
+def i2(ode: ODE) -> Expr:
     """Second relative invariant:
     D^2 f_pp - 4 D f_py + f_p (4 f_py - D f_pp) - 3 f_pp f_y + 6 f_yy."""
-    ctx = ode.context()
+    _, y, p = ode.jet_vars
     f = ode.rhs
-    f_p = diff(f, ode.p)
-    f_pp = diff(f_p, ode.p)
-    f_y = diff(f, ode.y)
-    f_py = diff(f_p, ode.y)
-    f_yy = diff(f_y, ode.y)
-    d_fpp = total_derivative(f_pp, ctx)
-    d2_fpp = total_derivative(d_fpp, ctx)
-    d_fpy = total_derivative(f_py, ctx)
+    f_p = diff(f, p)
+    f_pp = diff(f_p, p)
+    f_y = diff(f, y)
+    f_py = diff(f_p, y)
+    f_yy = diff(f_y, y)
+    d_fpp = total_derivative(f_pp, f, ode.jet_vars)
+    d2_fpp = total_derivative(d_fpp, f, ode.jet_vars)
+    d_fpy = total_derivative(f_py, f, ode.jet_vars)
     return ex.add(
         d2_fpp,
         ex.mul(-4, d_fpy),
@@ -122,16 +105,11 @@ def i2(ode: SecondOrderODE) -> Expr:
     )
 
 
-def flatness_residual(ode: SecondOrderODE, seed: int = ex.ZERO_TEST_SEED) -> float:
+def flatness_residual(ode: ODE, seed: int = ex.ZERO_TEST_SEED) -> float:
     """Largest scaled residual of the two invariants over the box."""
     r1 = max_residual(i1(ode), ode.box, seed=seed)
     r2 = max_residual(i2(ode), ode.box, seed=seed)
     return max(r1, r2)
-
-
-def is_flat(ode: SecondOrderODE) -> bool:
-    """Both relative invariants vanish identically on the box."""
-    return is_zero(i1(ode), ode.box) and is_zero(i2(ode), ode.box)
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +153,7 @@ def _force_of_rho(force: Expr) -> Expr:
     return ex.subst(force, "r", ex.div(1, Var("rho")))
 
 
-def fixed_m_ode(force: Expr, m: float) -> SecondOrderODE:
+def fixed_m_ode(force: Expr, m: float) -> ODE:
     """Orbit ODE of a central force at fixed angular momentum:
     rho'' = -f(1/rho) / (M^2 rho^2) - rho, in jet variables (theta, rho, rho1)."""
     if m == 0:
@@ -183,10 +161,10 @@ def fixed_m_ode(force: Expr, m: float) -> SecondOrderODE:
     m2 = _as_number(m) ** 2
     rho = Var("rho")
     rhs = ex.sub(ex.neg(ex.div(_force_of_rho(force), ex.mul(m2, ex.pow_(rho, 2)))), rho)
-    return SecondOrderODE(rhs, dict(GENERATOR_BOX), x="theta", y="rho", p="rho1")
+    return ODE(rhs, dict(GENERATOR_BOX), ("theta", "rho", "rho1"))
 
 
-def fixed_e_ode(force: Expr, potential: Expr, energy, box: Box | None = None) -> SecondOrderODE:
+def fixed_e_ode(force: Expr, potential: Expr, energy, box: Box | None = None) -> ODE:
     """Orbit ODE of a central force at fixed energy, eliminating M through
     M^2 = 2 (E - V) / (rho'^2 + rho^2):
     rho'' = -rho - f(1/rho) (rho'^2 + rho^2) / (2 rho^2 (E - V(1/rho)))."""
@@ -200,7 +178,7 @@ def fixed_e_ode(force: Expr, potential: Expr, energy, box: Box | None = None) ->
             ex.mul(2, ex.pow_(rho, 2), gap),
         ),
     )
-    ode = SecondOrderODE(rhs, dict(box or GENERATOR_BOX), x="theta", y="rho", p="rho1")
+    ode = ODE(rhs, dict(box or GENERATOR_BOX), ("theta", "rho", "rho1"))
     _check_positive(gap, ode.box)
     return ode
 
@@ -225,7 +203,7 @@ def _check_positive(e: Expr, box: Box):
             raise InvariantError(f"E - V is not positive on the box (at rho={x})")
 
 
-def central_3rd_order(force_rho: Expr) -> ThirdOrderODE:
+def central_3rd_order(force_rho: Expr) -> ODE:
     """3rd-order ODE of the full orbit family of a central force, with the
     force given as a function of rho = 1/r:
     rho''' = rho' [ (rho'' + rho)(f'(rho)/f(rho) - 2/rho) - 1 ]."""
@@ -238,7 +216,7 @@ def central_3rd_order(force_rho: Expr) -> ThirdOrderODE:
     rhs = ex.mul(rho1, ex.sub(ex.mul(ex.add(rho2, rho), bracket), ex.const(1)))
     box = dict(WUNSCHMANN_BOX)
     _check_nonvanishing(force_rho, box)
-    return ThirdOrderODE(rhs, box)
+    return ODE(rhs, box, ("theta", "rho", "rho1", "rho2"))
 
 
 def _check_nonvanishing(e: Expr, box: Box):
@@ -252,24 +230,24 @@ def _check_nonvanishing(e: Expr, box: Box):
 # Wunschmann condition for 3rd-order ODEs
 # --------------------------------------------------------------------------
 
-def wunschmann_residual(ode: ThirdOrderODE) -> Expr:
+def wunschmann_residual(ode: ODE) -> Expr:
     """Left side of F_rho + (D - (2/3) F_rho'') K = 0 with
     K = (1/6) D F_rho'' - (1/9) F_rho''^2 - (1/2) F_rho'.
 
     Vanishes iff the family's null cones are quadratic, i.e. the orbit
     space carries a conformal Lorentzian metric.
     """
-    ctx = ode.context()
+    _, rho, rho1, rho2 = ode.jet_vars
     f = ode.rhs
-    f_r2 = diff(f, ode.rho2)
-    f_r1 = diff(f, ode.rho1)
-    f_r = diff(f, ode.rho)
+    f_r2 = diff(f, rho2)
+    f_r1 = diff(f, rho1)
+    f_r = diff(f, rho)
     k = ex.add(
-        ex.mul(Fraction(1, 6), total_derivative(f_r2, ctx)),
+        ex.mul(Fraction(1, 6), total_derivative(f_r2, f, ode.jet_vars)),
         ex.mul(Fraction(-1, 9), ex.pow_(f_r2, 2)),
         ex.mul(Fraction(-1, 2), f_r1),
     )
-    return ex.add(f_r, total_derivative(k, ctx), ex.mul(Fraction(-2, 3), f_r2, k))
+    return ex.add(f_r, total_derivative(k, f, ode.jet_vars), ex.mul(Fraction(-2, 3), f_r2, k))
 
 
 # --------------------------------------------------------------------------

@@ -78,19 +78,6 @@ class PlanePoint:
 
 
 @dataclass(frozen=True)
-class ConePoint:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        rr = self.x * self.x + self.y * self.y
-        zz = self.z * self.z
-        if zz == 0.0 or abs(rr - zz) > 1e-12 * (1.0 + rr + zz):
-            raise OrbitError("point is not on the punctured cone x^2+y^2=z^2")
-
-
-@dataclass(frozen=True)
 class KeplerOrbit:
     a: float
     b: float
@@ -168,22 +155,26 @@ def conserved(o: KeplerOrbit) -> tuple[float, float, float]:
     return (o.eccentricity, o.energy, o.ang_momentum)
 
 
-def rho(o: KeplerOrbit, theta: float) -> float:
-    """Inverse radius of the attractive branch: a cos + b sin + c."""
-    return o.a * math.cos(theta) + o.b * math.sin(theta) + o.c
+def _branch_sign(branch: str) -> float:
+    """The sign of c r in the residual of the named branch."""
+    if branch not in ("attractive", "repelling"):
+        raise ValueError(f"unknown branch {branch!r}")
+    return 1.0 if branch == "attractive" else -1.0
 
 
-def rho_repelling(o: KeplerOrbit, theta: float) -> float:
-    return o.a * math.cos(theta) + o.b * math.sin(theta) - o.c
+def conic_residual(o: KeplerOrbit, x, y, r, sign: float = 1.0):
+    """The plane-section residual a x + b y + sign c r - 1 of the branch with
+    that sign (+1 attractive, -1 repelling), on floats or numpy columns."""
+    return o.a * x + o.b * y + sign * o.c * r - 1.0
+
+
+def rho(o: KeplerOrbit, theta: float, sign: float = 1.0) -> float:
+    """Inverse radius of the branch with that sign: a cos + b sin + sign c."""
+    return o.a * math.cos(theta) + o.b * math.sin(theta) + sign * o.c
 
 
 def radius(o: KeplerOrbit, theta: float, branch: str = "attractive") -> float:
-    if branch == "attractive":
-        p = rho(o, theta)
-    elif branch == "repelling":
-        p = rho_repelling(o, theta)
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
+    p = rho(o, theta, _branch_sign(branch))
     if p <= 0.0:  # also where rounding cancels rho of an extreme triple
         raise BranchDomainError(f"theta={theta} is outside the {branch} branch domain (rho={p})")
     return 1.0 / p
@@ -197,15 +188,11 @@ def point_at(o: KeplerOrbit, theta: float, branch: str = "attractive") -> PlaneP
 def arc_half_width(o: KeplerOrbit, branch: str, delta: float) -> float | None:
     """Half-width w of the arc |theta - pericenter angle| < w on which the
     branch has rho > delta, or None when that holds on the full circle."""
+    sign = _branch_sign(branch)
     h = math.hypot(o.a, o.b)
-    if branch == "attractive":
-        bound = delta - o.c
-    elif branch == "repelling":
-        bound = delta + o.c
-        if h <= bound:
-            raise BranchDomainError("orbit has no repelling branch")
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
+    bound = delta - sign * o.c
+    if sign < 0.0 and h <= bound:
+        raise BranchDomainError("orbit has no repelling branch")
     if h == 0.0 or bound / h <= -1.0:
         return None
     return math.acos(max(-1.0, min(1.0, bound / h)))
@@ -233,11 +220,10 @@ def sample(
 
 def contains(o: KeplerOrbit, p: PlanePoint, tol: float = 1e-9) -> Membership:
     """Branch-aware membership via |a x + b y +/- c r - 1| <= tol."""
-    s = o.a * p.x + o.b * p.y
-    cr = o.c * p.r
-    if abs(s + cr - 1.0) <= tol:
+    r = p.r
+    if abs(conic_residual(o, p.x, p.y, r)) <= tol:
         return Membership.ON_ATTRACTIVE
-    if abs(s - cr - 1.0) <= tol:
+    if abs(conic_residual(o, p.x, p.y, r, -1.0)) <= tol:
         return Membership.ON_REPELLING
     return Membership.OFF
 
@@ -246,8 +232,7 @@ def membership_residual(o: KeplerOrbit, x: float, y: float) -> float:
     """Distance of (x, y) from the full conic in the defining residual,
     minimized over the two branch signs."""
     r = math.hypot(x, y)
-    s = o.a * x + o.b * y
-    return min(abs(s + o.c * r - 1.0), abs(s - o.c * r - 1.0))
+    return min(abs(conic_residual(o, x, y, r)), abs(conic_residual(o, x, y, r, -1.0)))
 
 
 def geometry(o: KeplerOrbit) -> OrbitGeometry:
@@ -294,8 +279,8 @@ def fit(points) -> FitResult:
         raise FitError("need at least 3 points")
     arr = np.asarray(pts, dtype=float)
     r = np.hypot(arr[:, 0], arr[:, 1])
-    if np.any(r <= 0.0):
-        raise FitError("points must avoid the origin")
+    if not np.all(np.isfinite(r) & (r > 0.0)):
+        raise FitError("points must be finite and avoid the origin")
     design = np.column_stack([arr[:, 0], arr[:, 1], r])
     sol, _, rank, _ = np.linalg.lstsq(design, np.ones(len(pts)), rcond=None)
     if rank < 3:
@@ -305,16 +290,6 @@ def fit(points) -> FitResult:
     if abs(c) <= LINE_C_TOL * math.hypot(a, b):
         return FitResult("line", (a, b, c), residual, line=(a, b))
     return FitResult("orbit", (a, b, c), residual, orbit=from_abc(a, b, c))
-
-
-def lift(p: PlanePoint, sheet: int = 1) -> ConePoint:
-    if sheet not in (1, -1):
-        raise OrbitError("sheet must be +1 or -1")
-    return ConePoint(p.x, p.y, sheet * p.r)
-
-
-def project(q: ConePoint) -> PlanePoint:
-    return PlanePoint(q.x, q.y)
 
 
 # --------------------------------------------------------------------------
@@ -338,8 +313,7 @@ class Trajectory:
         return self.pos[:, 0] * self.vel[:, 1] - self.pos[:, 1] * self.vel[:, 0]
 
     def membership_residuals(self, o: KeplerOrbit) -> np.ndarray:
-        r = self.radii()
-        return np.abs(o.a * self.pos[:, 0] + o.b * self.pos[:, 1] + o.c * r - 1.0)
+        return np.abs(conic_residual(o, self.pos[:, 0], self.pos[:, 1], self.radii()))
 
 
 def period(o: KeplerOrbit) -> float:
@@ -427,10 +401,3 @@ def newton_flow(o: KeplerOrbit, steps: int | None = None, dt: float | None = Non
 
 def orbit_to_dict(o: KeplerOrbit) -> dict:
     return {"a": o.a, "b": o.b, "c": o.c}
-
-
-def orbit_from_dict(d: dict) -> KeplerOrbit:
-    try:
-        return from_abc(float(d["a"]), float(d["b"]), float(d["c"]))
-    except KeyError as err:
-        raise OrbitError(f"orbit record is missing key {err}") from err

@@ -24,6 +24,7 @@ from .orbit import (
     KeplerOrbit,
     PlanePoint,
     arc_half_width,
+    conic_residual,
     from_abc,
     geometry,
     rho as orbit_rho,
@@ -525,17 +526,14 @@ def tangency_report(member: KeplerOrbit, envelope: KeplerOrbit) -> TangencyRepor
     member's attractive branch, locates the minimum of |h| and reports
     the residual, its slope, and whether the root has even multiplicity.
     """
-    thetas = np.asarray(sample_thetas(member, TANGENCY_SAMPLES))
-    p = member.a * np.cos(thetas) + member.b * np.sin(thetas) + member.c
-    r = 1.0 / p
-    x = r * np.cos(thetas)
-    y = r * np.sin(thetas)
-    h = envelope.a * x + envelope.b * y + envelope.c * r - 1.0
-    i = int(np.argmin(np.abs(h)))
 
-    def h_of(t: float) -> float:
-        rr = 1.0 / orbit_rho(member, t)
-        return envelope.a * rr * math.cos(t) + envelope.b * rr * math.sin(t) + envelope.c * rr - 1.0
+    def h_of(t, m=math):  # m = math for one angle, np for an array of them
+        r = 1.0 / (member.a * m.cos(t) + member.b * m.sin(t) + member.c)
+        return conic_residual(envelope, r * m.cos(t), r * m.sin(t), r)
+
+    thetas = np.asarray(sample_thetas(member, TANGENCY_SAMPLES))
+    h = h_of(thetas, np)
+    i = int(np.argmin(np.abs(h)))
 
     # parabolic refinement around the grid minimum, then a Newton polish
     t_star = float(thetas[i])

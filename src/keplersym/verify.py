@@ -343,7 +343,7 @@ def case_ellipse_pencil_counts(seed: int, rng) -> float:
 # invariants suite
 # --------------------------------------------------------------------------
 
-def _kepler_fixed_e(energy: float) -> inv.SecondOrderODE:
+def _kepler_fixed_e(energy: float) -> inv.ODE:
     box = inv.kepler_fixed_e_boxes(energy)[-1]
     return inv.fixed_e_ode(inv.kepler_force(), inv.kepler_potential(), energy, box=box)
 

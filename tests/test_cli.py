@@ -425,6 +425,7 @@ def test_envelope_hooke(capsys):
 @pytest.mark.parametrize("f,at", [
     ("p*p*p*p + p*p*p*p", "x=0,y=0,p=1e77"),  # the sum overflows a double
     ("sin(p*p*p)", "x=0,y=0,p=1e200"),  # sin of an infinite argument
+    ("y*y*y*y*y", "x=0,y=1e200,p=1"),  # the product overflows to I2 = inf
 ])
 def test_ode_invariants_float_errors_are_domain_errors(capsys, f, at):
     code, out, err = run(capsys, "ode", "invariants", "--f", f, "--at", at)
@@ -432,6 +433,18 @@ def test_ode_invariants_float_errors_are_domain_errors(capsys, f, at):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("at,message", [
+    ("x=0,y=nan,p=1", "must be finite, got 'y=nan'"),
+    ("x=0,y=inf,p=1", "must be finite, got 'y=inf'"),
+    ("x=0,y=-inf,p=1", "must be finite, got 'y=-inf'"),
+    ("x=0,y=1,p=1,y=2", "'y' is bound twice"),
+])
+def test_ode_invariants_rejects_non_finite_and_repeated_bindings(capsys, at, message):
+    code, out, err = run(capsys, "ode", "invariants", "--f", "y*p", "--at", at)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_map_flags_non_finite_rows(tmp_path, capsys):

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from keplersym import expr as ex
-from keplersym.expr import Var, evaluate, is_zero, max_residual, parse
+from keplersym.expr import ZERO_TEST_THRESHOLD, Var, evaluate, is_zero, max_residual, parse
 from keplersym.invariants import (
     GENERATOR_BOX,
     WUNSCHMANN_BOX,
     InvariantError,
+    ODE,
     SecondOrderODE,
     central_3rd_order,
     fixed_e_ode,
@@ -19,7 +20,6 @@ from keplersym.invariants import (
     flatness_residual,
     i1,
     i2,
-    is_flat,
     kepler_fixed_e_boxes,
     kepler_force,
     kepler_potential,
@@ -32,7 +32,7 @@ from keplersym.invariants import (
 FLAT_BOX = {"x": (-1.0, 1.0), "y": (0.5, 2.0), "p": (-1.0, 1.0)}
 
 
-def kepler_fixed_e(energy) -> SecondOrderODE:
+def kepler_fixed_e(energy) -> ODE:
     # the ODE's own box must sit inside the Hill region E - V > 0
     box = kepler_fixed_e_boxes(float(energy))[-1]
     return fixed_e_ode(kepler_force(), kepler_potential(), energy, box=box)
@@ -79,7 +79,7 @@ def test_i2_matches_closed_form_on_boxes(energy):
 def test_i2_zero_for_fixed_m_linear_ode():
     ode = SecondOrderODE(parse("1 - y"), dict(FLAT_BOX))  # rho'' = 1/M^2 - rho, M = 1
     assert i2(ode) == ex.ZERO or is_zero(i2(ode), FLAT_BOX)
-    assert is_flat(ode)
+    assert flatness_residual(ode) <= ZERO_TEST_THRESHOLD
 
 
 def test_type_ii_witness_projective_but_not_flat():
@@ -88,10 +88,19 @@ def test_type_ii_witness_projective_but_not_flat():
     assert not is_zero(i2(ode), FLAT_BOX)
 
 
-def test_is_flat_cases():
-    assert is_flat(SecondOrderODE(ex.ZERO, dict(FLAT_BOX)))
-    assert not is_flat(kepler_fixed_e(-1))
-    assert is_flat(fixed_m_ode(kepler_force(), 1))
+def test_flatness_residual_cases():
+    assert flatness_residual(SecondOrderODE(ex.ZERO, dict(FLAT_BOX))) <= ZERO_TEST_THRESHOLD
+    assert flatness_residual(kepler_fixed_e(-1)) > ZERO_TEST_THRESHOLD
+    assert flatness_residual(fixed_m_ode(kepler_force(), 1)) <= ZERO_TEST_THRESHOLD
+
+
+def test_ode_rejects_stray_rhs_variables():
+    with pytest.raises(InvariantError, match="stray free variables: \\['z'\\]"):
+        SecondOrderODE(parse("y + z"), dict(FLAT_BOX))
+    jet = ("theta", "rho", "rho1", "rho2")
+    with pytest.raises(InvariantError):
+        ODE(parse("rho1 * q"), dict(WUNSCHMANN_BOX), jet)
+    assert ODE(parse("rho1 * q"), dict(WUNSCHMANN_BOX), jet, frozenset({"q"})).params == {"q"}
 
 
 def test_fixed_m_ode_instances():
@@ -123,13 +132,13 @@ def test_fixed_e_zero_energy_parabolas_are_flat():
     ode = fixed_e_ode(kepler_force(), kepler_potential(), 0)
     gap = ex.sub(ode.rhs, parse("(rho^2 + rho1^2)/(2*rho) - rho"))
     assert is_zero(gap, GENERATOR_BOX)
-    assert is_flat(ode)
+    assert flatness_residual(ode) <= ZERO_TEST_THRESHOLD
 
 
 def test_fixed_e_hooke_not_flat():
     box = {"rho": (0.85, 3.0), "rho1": (-1.0, 1.0)}  # keep 1 - 1/(2 rho^2) > 0
     ode = fixed_e_ode(power_force(1), power_potential(1), 1, box=box)
-    assert not is_flat(ode)
+    assert flatness_residual(ode) > ZERO_TEST_THRESHOLD
 
 
 def test_fixed_e_requires_positive_gap():
@@ -141,6 +150,7 @@ def test_fixed_e_requires_positive_gap():
 def test_central_3rd_order_instances():
     rho, rho1, rho2 = Var("rho"), Var("rho1"), Var("rho2")
     kepler = central_3rd_order(ex.pow_(rho, 2))
+    assert kepler.jet_vars == ("theta", "rho", "rho1", "rho2")
     gap = ex.sub(kepler.rhs, ex.neg(rho1))
     assert is_zero(gap, WUNSCHMANN_BOX)
     hooke = central_3rd_order(ex.div(1, rho))

@@ -20,10 +20,9 @@ from keplersym.orbit import (
     contains,
     fit,
     from_abc,
+    conic_residual,
     geometry,
-    lift,
     newton_flow,
-    project,
     radius,
     sample,
 )
@@ -117,6 +116,23 @@ def test_contains_branches():
     # (1, 0) satisfies a x + b y - c r = 1 exactly: the repelling vertex
     assert contains(h, PlanePoint(1, 0)) is Membership.ON_REPELLING
     assert contains(h, PlanePoint(0.9, 0)) is Membership.OFF
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_conic_residual_keeps_the_bits_of_the_literal_formula(sign):
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        o = random_orbit(rng)
+        x, y = map(float, rng.uniform(-3.0, 3.0, size=2))
+        r = math.hypot(x, y)
+        s = o.a * x + o.b * y
+        want = s + o.c * r - 1.0 if sign > 0 else s - o.c * r - 1.0
+        assert conic_residual(o, x, y, r, sign) == want
+        xs, ys = rng.uniform(-3.0, 3.0, size=(2, 64))
+        rs = np.hypot(xs, ys)
+        s = o.a * xs + o.b * ys
+        want = s + o.c * rs - 1.0 if sign > 0 else s - o.c * rs - 1.0
+        assert np.array_equal(conic_residual(o, xs, ys, rs, sign), want)
 
 
 def test_geometry_ellipse():
@@ -228,6 +244,12 @@ def test_fit_rejects_coincident_points():
         fit([PlanePoint(1, 0)] * 4)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_rejects_non_finite_points(bad):
+    with pytest.raises(FitError, match="finite"):
+        fit([(1, 0), (0, 1), (bad, 1), (2, 2)])
+
+
 @pytest.mark.parametrize("n", [3, 7, 30])
 def test_fit_round_trip_all_classes(n):
     rng = np.random.default_rng(n)
@@ -237,15 +259,6 @@ def test_fit_round_trip_all_classes(n):
         assert res.kind == "orbit"
         for got, want in zip((res.orbit.a, res.orbit.b, res.orbit.c), (o.a, o.b, o.c)):
             assert abs(got - want) <= 1e-9
-
-
-def test_lift_project():
-    q = lift(PlanePoint(1, 0), 1)
-    assert (q.x, q.y, q.z) == (1.0, 0.0, 1.0)
-    q = lift(PlanePoint(3, 4), -1)
-    assert (q.x, q.y, q.z) == (3.0, 4.0, -5.0)
-    p = PlanePoint(0.3, -0.4)
-    assert project(lift(p, 1)) == p
 
 
 def test_newton_flow_circle():
@@ -370,10 +383,7 @@ def test_conserved_matches_flow_sweep():
 
 def test_orbit_dict_round_trip():
     o = from_abc(0.5, -0.25, 1.25)
-    d = ko.orbit_to_dict(o)
-    assert ko.orbit_from_dict(d) == o
-    with pytest.raises(OrbitError):
-        ko.orbit_from_dict({"a": 1.0})
+    assert from_abc(**ko.orbit_to_dict(o)) == o
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -49,11 +49,9 @@ class CliError(Exception):
 
 
 def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return _non_negative_int(raw)
+        return _int_range(0)(raw)
     except (ValueError, argparse.ArgumentTypeError) as err:
         raise CliError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}") from err
 
@@ -67,27 +65,17 @@ def _print_json(payload) -> None:
     print(text)
 
 
-def _member_count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
-    if n > MAX_MEMBERS:
-        raise argparse.ArgumentTypeError(f"expected at most {MAX_MEMBERS} members, got {n}")
-    return n
-
-
-def _sample_count(text: str) -> int:
-    n = int(text)
-    if n > MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES} samples, got {n}")
-    return n
-
-
-def _non_negative_int(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {n}")
-    return n
+def _int_range(lo: int | None, hi: int | None = None, noun: str = ""):
+    """An argparse type for lo <= n <= hi: lo is 0, 1 or None, hi None is no bound."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if lo is not None and n < lo:
+            raise argparse.ArgumentTypeError(
+                f"expected a {'positive' if lo else 'non-negative'} integer, got {n}")
+        if hi is not None and n > hi:
+            raise argparse.ArgumentTypeError(f"expected at most {hi} {noun}, got {n}")
+        return n
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    p_verify.add_argument("--seed", type=_non_negative_int, default=None)
+    p_verify.add_argument("--seed", type=_int_range(0), default=None)
     p_verify.add_argument("--json", action="store_true", help="emit the JSON report")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -111,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", type=float, required=True)
         p.add_argument("--c", type=float, required=True)
         if action == "sample":
-            p.add_argument("--n", type=_sample_count, default=100)
+            p.add_argument("--n", type=_int_range(None, MAX_SAMPLES, "samples"), default=100)
             p.add_argument("--format", choices=("csv", "json"), default="csv")
             p.set_defaults(func=cmd_orbit_sample)
         else:
@@ -128,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wun.set_defaults(func=cmd_ode_wunschmann)
 
     p_map = sub.add_parser("map", help="transform a point file through a special map")
-    p_map.add_argument("name", choices=("square", "flattenM", "hill", "parabola-chart"))
+    p_map.add_argument("name", choices=tuple(_MAPS))
     p_map.add_argument("--m", type=float, help="angular momentum for flattenM")
     p_map.add_argument("--energy", type=float, help="energy for hill")
     p_map.add_argument("--points", required=True, help="input CSV with columns theta,x,y")
@@ -136,13 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(func=cmd_map)
 
     p_env = sub.add_parser("envelope", help="envelope of a concurrent orbit family")
-    p_env.add_argument("kind", choices=("minor-axis", "energy", "hooke"))
+    p_env.add_argument("kind", choices=tuple(_ENVELOPES))
     p_env.add_argument("--b-axis", type=float, dest="b_axis", help="minor axis B")
     p_env.add_argument("--x1", type=float, help="fixed point abscissa (minor-axis)")
     p_env.add_argument("--energy", type=float, help="fixed energy E < 0")
     p_env.add_argument("--x0", type=float, help="fixed point abscissa (energy)")
     p_env.add_argument("--area", type=float, help="fixed area (hooke)")
-    p_env.add_argument("--members", type=_member_count, default=20)
+    p_env.add_argument("--members", type=_int_range(1, MAX_MEMBERS, "members"), default=20)
     p_env.set_defaults(func=cmd_envelope)
 
     return parser
@@ -182,8 +170,6 @@ def _make_orbit(args):
         return from_abc(args.a, args.b, args.c)
     except LineDualError as err:
         raise CliError(f"line, not a Kepler orbit: {err}") from err
-    except OrbitError as err:
-        raise CliError(str(err)) from err
 
 
 def cmd_orbit_info(args) -> int:
@@ -297,11 +283,29 @@ def _is_number(cell: str) -> bool:
         return False
 
 
+def _hill_energy(energy: float) -> None:
+    kmaps.check_energy(energy)
+    if not 2.0 * energy < math.inf:  # else 1 + 2 E r overflows at every point
+        raise CliError(f"hill needs 2E finite, got energy={energy!r}")
+
+
+# name -> (parameter, its check, point map (x, y, parameter) -> PlanePoint)
+_MAPS = {
+    "square": (None, None, lambda x, y, _: kmaps.square(PlanePoint(x, y))),
+    "flattenM": ("m", kmaps.m_squared, lambda x, y, m: kmaps.flatten_m(PlanePoint(x, y), m)),
+    "hill": ("energy", _hill_energy, lambda x, y, e: kmaps.hill_embed(PlanePoint(x, y), e)),
+    "parabola-chart": (None, None, lambda x, y, _: kmaps.parabola_chart(x, y)),
+}
+
+
 def cmd_map(args) -> int:
-    if args.name == "flattenM" and args.m is None:
-        raise CliError("flattenM needs --m")
-    if args.name == "hill" and args.energy is None:
-        raise CliError("hill needs --energy")
+    param, check, point_map = _MAPS[args.name]
+    value = None
+    if param is not None:  # a bad parameter fails the whole call, before any row is read
+        value = getattr(args, param)
+        if value is None:
+            raise CliError(f"{args.name} needs --{param}")
+        check(value)
     rows = _read_points(args.points)
     out_rows = [["theta", "x", "y", "err"]]
     for row in rows:
@@ -316,14 +320,7 @@ def cmd_map(args) -> int:
             out_rows.append(["", "", "", "non-finite row"])
             continue
         try:
-            if args.name == "square":
-                q = kmaps.square(PlanePoint(x, y))
-            elif args.name == "flattenM":
-                q = kmaps.flatten_m(PlanePoint(x, y), args.m)
-            elif args.name == "hill":
-                q = kmaps.hill_embed(PlanePoint(x, y), args.energy)
-            else:
-                q = kmaps.parabola_chart(x, y)
+            q = point_map(x, y, value)
             out_rows.append([repr(math.atan2(q.y, q.x)), repr(q.x), repr(q.y), ""])
         except (kmaps.MapError, OrbitError) as err:
             out_rows.append(["", "", "", str(err)])
@@ -358,27 +355,24 @@ def cmd_envelope(args) -> int:
     if None in params.values():
         flags = " and ".join("--" + name.replace("_", "-") for name in names)
         raise CliError(f"{args.kind} needs {flags}")
-    try:
-        env = envelope(*params.values())
-        members = family(*params.values(), np.linspace(-span, span, args.members))
-        payload = {"kind": args.kind, "params": params}
-        if args.kind == "hooke":  # the envelope is a line pair, the members plain curves
-            ts = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
-            payload.update(
-                envelope_lines=[env.half_gap, -env.half_gap],
-                family=[{"points": [list(cv.point(float(t))) for t in ts]} for cv in members],
-            )
-        else:
-            if args.kind == "energy":
-                payload["second_focus"] = list(th.second_focus(env))
-            payload.update(
-                envelope=orbit_to_dict(env),
-                envelope_points=_orbit_points(env),
-                family=[{"dual": orbit_to_dict(m), "points": _orbit_points(m, 50)}
-                        for m in members],
-            )
-    except th.TheoremError as err:
-        raise CliError(str(err)) from err
+    env = envelope(*params.values())
+    members = family(*params.values(), np.linspace(-span, span, args.members))
+    payload = {"kind": args.kind, "params": params}
+    if args.kind == "hooke":  # the envelope is a line pair, the members plain curves
+        ts = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
+        payload.update(
+            envelope_lines=[env.half_gap, -env.half_gap],
+            family=[{"points": [list(cv.point(float(t))) for t in ts]} for cv in members],
+        )
+    else:
+        if args.kind == "energy":
+            payload["second_focus"] = list(th.second_focus(env))
+        payload.update(
+            envelope=orbit_to_dict(env),
+            envelope_points=_orbit_points(env),
+            family=[{"dual": orbit_to_dict(m), "points": _orbit_points(m, 50)}
+                    for m in members],
+        )
     _print_json(payload)
     return 0
 
@@ -393,7 +387,8 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (CliError, OrbitError, inv.InvariantError, kmaps.MapError, ex.ExprError) as err:
+    except (CliError, OrbitError, inv.InvariantError, kmaps.MapError, ex.ExprError,
+            th.TheoremError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # anything unnamed (MemoryError, a bug) is one line, not a traceback

@@ -21,9 +21,11 @@ randomized evaluation (`is_zero`), never by canonical forms.
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 from typing import Mapping, Union
@@ -72,7 +74,7 @@ class UnboundVariableError(EvalError):
 
 
 class DivisionByZeroError(EvalError):
-    def __init__(self, detail: str = "division by zero"):
+    def __init__(self, detail: str = "denominator evaluated to 0.0 (zero, or underflowed)"):
         super().__init__(detail)
 
 
@@ -634,63 +636,36 @@ def max_residual(
 # Parser
 # --------------------------------------------------------------------------
 
-_OPS = set("+-*/^()")
 MAX_PARSE_DEPTH = 100  # nesting of brackets, calls, unary minus and exponents
+
+# One token after optional ASCII blanks (the characters below 128 that
+# str.isspace accepts); `bad` is any other character, non-ASCII ones too.
+_TOKEN = re.compile(r"""[ \t\n\r\f\v\x1c-\x1f]*(?:
+    (?P<op>[-+*/^()])
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<end>\Z)
+  | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
+# the exact value of an integer literal; a repeated literal reuses its Fraction
+_integer = functools.lru_cache(maxsize=256)(lambda lit: Fraction(int(lit)))
 
 
 class _Tokenizer:
     def __init__(self, text: str):
-        self.text = text
         self.depth = 0
-        self.tokens: list[tuple[str, object, int]] = []
-        self._scan()
         self.index = 0
-
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in _OPS:
-                self.tokens.append(("op", ch, i))
-                i += 1
-                continue
-            if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                is_float = False
-                if j < n and text[j] == ".":
-                    is_float = True
-                    j += 1
-                    while j < n and text[j].isdigit():
-                        j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        is_float = True
-                        j = k
-                        while j < n and text[j].isdigit():
-                            j += 1
-                lit = text[i:j]
-                value: Number = float(lit) if is_float else Fraction(int(lit))
-                self.tokens.append(("num", value, i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", None, n))
+        self.tokens: list[tuple[str, object, int]] = []
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            lit, i = m[kind], m.start(kind)
+            if kind == "num":  # all ASCII digits: an integer; a '.' or an exponent: a float
+                lit = _integer(lit) if lit.isdigit() else float(lit)
+            elif kind == "end":  # trailing blanks can match `end` twice
+                self.tokens.append(("end", None, i))
+                break
+            elif kind == "bad":
+                raise ParseError(f"unexpected character {lit!r}", i)
+            self.tokens.append((kind, lit, i))
 
     def peek(self):
         return self.tokens[self.index]
@@ -709,6 +684,10 @@ def parse(text: str) -> Expr:
     factor)*; factor := base ('^' exponent)?; base := number | ident |
     ident '(' expr ')' | '(' expr ')'.  Unary minus is allowed before a
     factor; integer '/' integer folds to an exact rational constant.
+    Tokens (`_TOKEN`) are ASCII, each after optional blanks: a number
+    (digits, with an optional '.' fraction or e/E exponent, a float; else
+    an exact integer), an identifier [A-Za-z_][A-Za-z0-9_]*, or one of
+    +-*/^().  Any other character is a ParseError.
     Nesting deeper than MAX_PARSE_DEPTH levels is a ParseError.
     """
     tz = _Tokenizer(text)

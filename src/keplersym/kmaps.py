@@ -24,7 +24,7 @@ class SingularRadiusError(MapError):
 SINGULAR_TOL = 1e-12
 
 
-def _m_squared(m: float) -> float:
+def m_squared(m: float) -> float:
     """M^2, which must be positive and finite, and so must 1/M^2."""
     m2 = m * m
     if not (0.0 < m2 < math.inf and 1.0 / m2 < math.inf):
@@ -32,7 +32,8 @@ def _m_squared(m: float) -> float:
     return m2
 
 
-def _check_energy(energy: float) -> None:
+def check_energy(energy: float) -> None:
+    """Raise MapError unless 0 < energy < inf."""
     if not 0.0 < energy < math.inf:
         raise MapError(f"embedding is defined for finite positive energy, got energy={energy!r}")
 
@@ -69,24 +70,24 @@ def square_line_image(angle: float, distance: float) -> KeplerOrbit:
 
 def flatten_m(p: PlanePoint, m: float) -> PlanePoint:
     """Radial map r -> r / (1 - r / M^2); straightens orbits with |M| = m."""
-    return _radial(p, 1.0 - p.r / _m_squared(m), "r = M^2", "m", m)
+    return _radial(p, 1.0 - p.r / m_squared(m), "r = M^2", "m", m)
 
 
 def flatten_m_dual(v: MinkVec, m: float) -> MinkVec:
     """Dual predictor: vertical translation c -> c - 1/M^2."""
-    return MinkVec(v.a, v.b, v.c - 1.0 / _m_squared(m))
+    return MinkVec(v.a, v.b, v.c - 1.0 / m_squared(m))
 
 
 def hill_embed(p: PlanePoint, energy: float) -> PlanePoint:
     """Radial map r -> r / (1 + 2 E r) embedding the energy-E Hill region
     (E > 0) into the energy -E one."""
-    _check_energy(energy)
+    check_energy(energy)
     return _radial(p, 1.0 + 2.0 * energy * p.r, None, "energy", energy)
 
 
 def hill_dual(o: KeplerOrbit, energy: float) -> KeplerOrbit:
     """Dual predictor in canonical coordinates: (a, b, c) -> (a, b, c + 2E)."""
-    _check_energy(energy)
+    check_energy(energy)
     return KeplerOrbit(o.a, o.b, o.c + 2.0 * energy)
 
 
@@ -98,7 +99,7 @@ def reflect_dual_signed(v: MinkVec, energy: float) -> MinkVec:
 
 def repel_embed(p: PlanePoint, energy: float) -> PlanePoint:
     """Radial map r -> r / (1 - 2 E r) for repelling-branch points."""
-    _check_energy(energy)
+    check_energy(energy)
     return _radial(p, 1.0 - 2.0 * energy * p.r, "r = 1/(2E)", "energy", energy)
 
 

@@ -300,31 +300,25 @@ def test_map_flatten_flags_singular_rows(tmp_path, capsys):
     (["hill", "--energy", "inf"], "energy=inf"),
 ])
 def test_map_flags_every_row_for_a_degenerate_parameter(tmp_path, capsys, argv, param):
+    # a parameter that would fail every row fails the whole call instead
     src = tmp_path / "pts.csv"
     src.write_text("theta,x,y\n0,0.5,0\n0,0,2\n")
     dst = tmp_path / "out.csv"
     code, out, err = run(capsys, "map", *argv, "--points", str(src), "--out", str(dst))
-    assert (code, out, err) == (0, "", "")
-    with open(dst) as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 3
-    for row in rows[1:]:
-        assert row[:3] == ["", "", ""]
-        assert param in row[3]
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and param in err and err.count("\n") == 1
+    assert not dst.exists()
 
 
 def test_map_hill_flags_every_row_when_the_denominator_overflows(tmp_path, capsys):
     src = tmp_path / "pts.csv"
     src.write_text("theta,x,y\n0,0.5,0\n0,0,2\n")
     dst = tmp_path / "out.csv"
-    code, _, _ = run(capsys, "map", "hill", "--energy", "1e308", "--points", str(src),
-                     "--out", str(dst))
-    assert code == 0
-    with open(dst) as fh:
-        rows = list(csv.reader(fh))
-    for row in rows[1:]:
-        assert row[:3] == ["", "", ""]
-        assert "overflows the map's denominator at energy=1e+308" in row[3]
+    code, out, err = run(capsys, "map", "hill", "--energy", "1e308", "--points", str(src),
+                         "--out", str(dst))
+    assert (code, out) == (1, "")  # 2E overflows, so 1 + 2 E r would at every row
+    assert err == "error: hill needs 2E finite, got energy=1e+308\n"
+    assert not dst.exists()
 
 
 def test_map_flatten_flags_the_row_whose_denominator_overflows(tmp_path, capsys):
@@ -433,6 +427,19 @@ def test_ode_invariants_float_errors_are_domain_errors(capsys, f, at):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def test_ode_invariants_names_an_underflowed_denominator(capsys):
+    # y is not zero, but (y^2)^2 in I2's denominator underflows to 0.0
+    code, out, err = run(capsys, "ode", "invariants", "--f", "1/y", "--at", "x=0,y=1e-320,p=1")
+    assert (code, out) == (1, "")
+    assert err == "error: denominator evaluated to 0.0 (zero, or underflowed)\n"
+
+
+def test_ode_invariants_rejects_a_non_ascii_digit_as_a_parse_error(capsys):
+    code, out, err = run(capsys, "ode", "invariants", "--f", "y*\u00b2", "--at", "x=0,y=1,p=1")
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected character '\u00b2' at position 2\n"
 
 
 @pytest.mark.parametrize("at,message", [

@@ -48,6 +48,24 @@ def test_parse_unterminated_call_reports_position():
     assert err.value.position == 4
 
 
+@pytest.mark.parametrize("text,tokens", [
+    ("2.", [("num", 2.0, 0)]),
+    (".5", [("num", 0.5, 0)]),
+    ("2e", [("num", Fraction(2), 0), ("ident", "e", 1)]),
+    ("2e+", [("num", Fraction(2), 0), ("ident", "e", 1), ("op", "+", 2)]),
+    ("1e-3", [("num", 1e-3, 0)]),
+    ("1.5E+3", [("num", 1500.0, 0)]),
+    ("x1", [("ident", "x1", 0)]),
+    ("_a", [("ident", "_a", 0)]),
+    ("sin(", [("ident", "sin", 0), ("op", "(", 3)]),
+    (" p \t\n", [("ident", "p", 1)]),
+])
+def test_tokens_pin_kind_value_and_position(text, tokens):
+    got = ex._Tokenizer(text).tokens
+    assert got == tokens + [("end", None, len(text))]
+    assert [type(v) for _, v, _ in got] == [type(v) for _, v, _ in tokens] + [type(None)]
+
+
 def test_parse_rational_literal_is_exact():
     e = parse("3/4")
     assert isinstance(e, Const)
@@ -67,6 +85,15 @@ def test_parse_unknown_function():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+@pytest.mark.parametrize("text,position", [("y*\u00b2", 2), ("y*\u0661", 2), ("\u03b8*p", 0)],
+                         ids=["superscript-two", "arabic-indic-one", "theta"])
+def test_parse_rejects_non_ascii_characters(text, position):
+    # str.isdigit or str.isalpha accepts each of these; the token grammar is ASCII
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"unexpected character {text[position]!r} at position {position}"
 
 
 @pytest.mark.parametrize("text", [

@@ -65,13 +65,14 @@ def _print_json(payload) -> None:
     print(text)
 
 
-def _int_range(lo: int | None, hi: int | None = None, noun: str = ""):
-    """An argparse type for lo <= n <= hi: lo is 0, 1 or None, hi None is no bound."""
+def _int_range(lo: int, hi: int | None = None, noun: str = ""):
+    """An argparse type for lo <= n <= hi, hi None being no bound; `noun` names n's unit."""
     def integer(text: str) -> int:
         n = int(text)
-        if lo is not None and n < lo:
+        if n < lo:
+            want = {0: "a non-negative integer", 1: "a positive integer"}
             raise argparse.ArgumentTypeError(
-                f"expected a {'positive' if lo else 'non-negative'} integer, got {n}")
+                f"expected {want.get(lo, f'at least {lo} {noun}')}, got {n}")
         if hi is not None and n > hi:
             raise argparse.ArgumentTypeError(f"expected at most {hi} {noun}, got {n}")
         return n
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", type=float, required=True)
         p.add_argument("--c", type=float, required=True)
         if action == "sample":
-            p.add_argument("--n", type=_int_range(None, MAX_SAMPLES, "samples"), default=100)
+            p.add_argument("--n", type=_int_range(3, MAX_SAMPLES, "samples"), default=100)
             p.add_argument("--format", choices=("csv", "json"), default="csv")
             p.set_defaults(func=cmd_orbit_sample)
         else:

@@ -646,8 +646,15 @@ _TOKEN = re.compile(r"""[ \t\n\r\f\v\x1c-\x1f]*(?:
   | (?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
   | (?P<end>\Z)
   | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
-# the exact value of an integer literal; a repeated literal reuses its Fraction
-_integer = functools.lru_cache(maxsize=256)(lambda lit: Fraction(int(lit)))
+
+
+@functools.lru_cache(maxsize=256)
+def _integer(lit: str) -> Fraction:
+    """The exact value of an integer literal; a repeated literal reuses its Fraction."""
+    try:
+        return Fraction(int(lit))
+    except ValueError as err:  # past Python's limit on the digits int() reads
+        raise ExprSizeError(f"an integer literal of {len(lit)} digits is too long") from err
 
 
 class _Tokenizer:

@@ -88,7 +88,10 @@ def hill_embed(p: PlanePoint, energy: float) -> PlanePoint:
 def hill_dual(o: KeplerOrbit, energy: float) -> KeplerOrbit:
     """Dual predictor in canonical coordinates: (a, b, c) -> (a, b, c + 2E)."""
     check_energy(energy)
-    return KeplerOrbit(o.a, o.b, o.c + 2.0 * energy)
+    c = o.c + 2.0 * energy
+    if not math.isfinite(c):
+        raise MapError(f"hill_dual needs c + 2E finite, got c={o.c!r}, energy={energy!r}")
+    return KeplerOrbit(o.a, o.b, c)
 
 
 def reflect_dual_signed(v: MinkVec, energy: float) -> MinkVec:

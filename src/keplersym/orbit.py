@@ -207,9 +207,9 @@ def sample_thetas(
     t0 = o.pericenter_angle
     w = arc_half_width(o, branch, delta)
     if w is None:
-        return [t0 + 2.0 * math.pi * i / n for i in range(n)]
+        return (t0 + 2.0 * math.pi * np.arange(n) / n).tolist()
     step = 2.0 * w / (n + 1)
-    return [t0 - w + (i + 1) * step for i in range(n)]
+    return ((t0 - w) + np.arange(1, n + 1) * step).tolist()
 
 
 def sample(

@@ -264,10 +264,7 @@ def _entries(x: AlgebraElement) -> tuple[float, ...]:
 def _dual_field(m: tuple, a, b, c) -> tuple:
     """The dual field at (a, b, c) of the generator with entries m: the first
     three entries of w + (a, b, c, 0) w[3], w = -(a, b, c, -1) @ matrix, each
-    product's terms summed in row order.
-
-    Entries and coordinates are floats, or equal-length numpy columns that
-    evaluate many (generator, point) pairs with the same operations.
+    product's terms summed in row order; entries and coordinates are floats.
     """
     q, x2, x3, x4, x5, x6, x7 = m
     w3 = -3.0 * q
@@ -337,14 +334,20 @@ def flow_dual(x: AlgebraElement, v: MinkVec, t: float) -> MinkVec:
 
 
 def flow_dual_batch(xs, vs, t: float) -> list[MinkVec]:
-    """RK4 endpoints of the dual flows of xs[i] from vs[i], integrated in one pass.
-
-    Each endpoint equals flow_dual(xs[i], vs[i], t): the columns go
-    through the same field and RK4 operations as a single flow.
+    """RK4 endpoints of the dual flows of xs[i] from vs[i], integrated in one pass
+    as one column of 3n coordinates (all a, all b, all c).  Each element goes
+    through `_dual_field`'s operations in its order (a * -x2 + b * q is
+    b * q - a * x2 exactly), so each endpoint is flow_dual(xs[i], vs[i], t)'s.
     """
     if len(xs) != len(vs) or not xs:
         raise ValueError("flow_dual_batch needs as many generators as starts, at least one")
-    m = tuple(np.array(col) for col in zip(*map(_entries, xs)))
-    y0 = tuple(zip(*(v.as_tuple() for v in vs)))
-    end = _rk4_endpoint(lambda w: _dual_field(m, *w), y0, t, None)
-    return [MinkVec(*row) for row in end.T.tolist()]
+    q, x2, x3, x4, x5, x6, x7 = map(np.array, zip(*map(_entries, xs)))
+    c0, c1, c2 = np.array([(q, -x2, x3), (x2, q, x4), (x3, x4, q)])
+    e, w3 = np.array([x5, x6, x7]), -3.0 * q
+
+    def field(y: tuple) -> tuple:
+        a, b, c = v = y[0].reshape(3, -1)
+        return ((v * w3 - (((a * c0 + b * c1) + c * c2) - e)).ravel(),)
+
+    end = _rk4_endpoint(field, (np.array([v.as_tuple() for v in vs]).T.ravel(),), t, None)
+    return [MinkVec(*row) for row in end.reshape(3, -1).T.tolist()]

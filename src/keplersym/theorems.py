@@ -27,7 +27,6 @@ from .orbit import (
     conic_residual,
     from_abc,
     geometry,
-    rho as orbit_rho,
     sample_thetas,
 )
 
@@ -63,6 +62,8 @@ class ParametricCurve:
 
     `d2` is optional; a central difference of `d1` stands in when it is
     missing.  `closed` marks a periodic parametrization over `domain`.
+    Kernels take a float or a 1-D array and give an array the bits of their
+    float calls, except `dual_curve`'s point map, which takes floats.
     """
 
     fn: Callable[[float], tuple[float, float]]
@@ -82,21 +83,27 @@ class ParametricCurve:
         return ((x1 - x0) / (2 * _FD_H), (y1 - y0) / (2 * _FD_H))
 
 
+def _cos_sin(t):
+    """(cos t, sin t) of a float, or of each element of a 1-D array."""
+    m = np if isinstance(t, np.ndarray) else math
+    return m.cos(t), m.sin(t)
+
+
 def _affine_circle(c: tuple[float, float], u: tuple[float, float],
                    v: tuple[float, float]) -> ParametricCurve:
     """Closed curve t -> c + u cos t + v sin t, an affine image of the unit circle."""
     (cx, cy), (ux, uy), (vx, vy) = c, u, v
 
     def fn(t):
-        ct, st = math.cos(t), math.sin(t)
+        ct, st = _cos_sin(t)
         return (cx + ux * ct + vx * st, cy + uy * ct + vy * st)
 
     def d1(t):
-        ct, st = math.cos(t), math.sin(t)
+        ct, st = _cos_sin(t)
         return (vx * ct - ux * st, vy * ct - uy * st)
 
     def d2(t):
-        ct, st = math.cos(t), math.sin(t)
+        ct, st = _cos_sin(t)
         return (-(ux * ct + vx * st), -(uy * ct + vy * st))
 
     return ParametricCurve(fn=fn, d1=d1, d2=d2, domain=(0.0, 2.0 * math.pi), closed=True)
@@ -116,20 +123,21 @@ def polar_graph_curve(
     dr_fn: Callable[[float], float],
     d2r_fn: Callable[[float], float],
 ) -> ParametricCurve:
-    """Closed curve r(t) (cos t, sin t); star-shaped when r > 0."""
+    """Closed curve r(t) (cos t, sin t), star-shaped when r > 0; r_fn, dr_fn
+    and d2r_fn take a float or a 1-D array."""
 
     def fn(t):
-        r = r_fn(t)
-        return (r * math.cos(t), r * math.sin(t))
+        r, (c, s) = r_fn(t), _cos_sin(t)
+        return (r * c, r * s)
 
     def d1(t):
         r, dr = r_fn(t), dr_fn(t)
-        c, s = math.cos(t), math.sin(t)
+        c, s = _cos_sin(t)
         return (dr * c - r * s, dr * s + r * c)
 
     def d2(t):
         r, dr, d2r = r_fn(t), dr_fn(t), d2r_fn(t)
-        c, s = math.cos(t), math.sin(t)
+        c, s = _cos_sin(t)
         return (d2r * c - 2 * dr * s - r * c, d2r * s + 2 * dr * c - r * s)
 
     return ParametricCurve(fn=fn, d1=d1, d2=d2, domain=(0.0, 2.0 * math.pi), closed=True)
@@ -138,19 +146,19 @@ def polar_graph_curve(
 def orbit_curve(o: KeplerOrbit) -> ParametricCurve:
     """Attractive branch as a parametric curve over its arc rho > ARC_MARGIN."""
 
-    def dp(t):
-        return -o.a * math.sin(t) + o.b * math.cos(t)
+    def jet(t):  # orbit.rho and its two derivatives, on a float or an array
+        c, s = _cos_sin(t)
+        return o.a * c + o.b * s + o.c, -o.a * s + o.b * c, -o.a * c - o.b * s
 
     def dr(t):
-        p = orbit_rho(o, t)
-        return -dp(t) / (p * p)
+        p, dp, _ = jet(t)
+        return -dp / (p * p)
 
     def d2r(t):
-        p = orbit_rho(o, t)
-        d2p = -o.a * math.cos(t) - o.b * math.sin(t)
-        return (2.0 * dp(t) * dp(t) - p * d2p) / (p * p * p)
+        p, dp, d2p = jet(t)
+        return (2.0 * dp * dp - p * d2p) / (p * p * p)
 
-    curve = polar_graph_curve(lambda t: 1.0 / orbit_rho(o, t), dr, d2r)
+    curve = polar_graph_curve(lambda t: 1.0 / jet(t)[0], dr, d2r)
     t0 = o.pericenter_angle
     w = arc_half_width(o, "attractive", ARC_MARGIN)
     if w is None:
@@ -256,11 +264,12 @@ def osculating_orbit(j: Jet2Polar) -> KeplerOrbit:
 def _dual_curvature(curve: ParametricCurve) -> Callable[[float], float]:
     dual = dual_curve(curve)
 
-    def kappa(t: float) -> float:
+    def kappa(t):  # speed^3 per element: np.hypot and np.power round some differently
         dx, dy = dual.d1(t)
         ddx, ddy = dual.deriv2(t)
-        speed = math.hypot(dx, dy)
-        return (dx * ddy - dy * ddx) / (speed ** 3)
+        speed3 = (np.array([math.hypot(u, v) ** 3 for u, v in zip(dx.tolist(), dy.tolist())])
+                  if isinstance(t, np.ndarray) else math.hypot(dx, dy) ** 3)
+        return (dx * ddy - dy * ddx) / speed3
 
     return kappa
 
@@ -280,14 +289,14 @@ def kepler_vertices(curve: ParametricCurve) -> list[float]:
     span = t1 - t0
     h = 1e-4 * span / (2.0 * math.pi)
 
-    def dkappa(t: float) -> float:
+    def dkappa(t):
         return (kappa(t + h) - kappa(t - h)) / (2.0 * h)
 
     ts = np.linspace(t0, t1, VERTEX_GRID, endpoint=False)
-    kvals = np.array([kappa(t) for t in ts])
+    kvals = kappa(ts)
     if np.max(kvals) - np.min(kvals) <= 1e-8 * (1.0 + np.max(np.abs(kvals))):
         raise DegenerateCurveError("dual curvature is constant: curve is a Kepler orbit")
-    dvals = np.array([dkappa(t) for t in ts])
+    dvals = dkappa(ts)
     roots: list[float] = []
     for i in range(VERTEX_GRID):
         j = (i + 1) % VERTEX_GRID
@@ -527,12 +536,13 @@ def tangency_report(member: KeplerOrbit, envelope: KeplerOrbit) -> TangencyRepor
     the residual, its slope, and whether the root has even multiplicity.
     """
 
-    def h_of(t, m=math):  # m = math for one angle, np for an array of them
-        r = 1.0 / (member.a * m.cos(t) + member.b * m.sin(t) + member.c)
-        return conic_residual(envelope, r * m.cos(t), r * m.sin(t), r)
+    def h_of(t):
+        c, s = _cos_sin(t)
+        r = 1.0 / (member.a * c + member.b * s + member.c)
+        return conic_residual(envelope, r * c, r * s, r)
 
     thetas = np.asarray(sample_thetas(member, TANGENCY_SAMPLES))
-    h = h_of(thetas, np)
+    h = h_of(thetas)
     i = int(np.argmin(np.abs(h)))
 
     # parabolic refinement around the grid minimum, then a Newton polish

@@ -531,8 +531,8 @@ def case_envelope_hooke(seed: int, rng) -> float:
     worst = abs(env.half_gap - 1.0)
     members = th.hooke_family(math.pi, np.linspace(-1.0, 1.0, 20))
     for curve in members:
-        ys = [curve.point(t)[1] for t in np.linspace(0, 2 * math.pi, 2001)]
-        worst = _worst(worst, abs(max(ys) - env.half_gap), abs(min(ys) + env.half_gap))
+        ys = curve.point(np.linspace(0, 2 * math.pi, 2001))[1]
+        worst = _worst(worst, abs(ys.max() - env.half_gap), abs(ys.min() + env.half_gap))
     kepler_env = th.envelope_minor_axis(2.0, 1.0)
     for curve in members[::4]:
         pts = [kmaps.square(PlanePoint(*curve.point(t)))

@@ -222,6 +222,7 @@ def test_ode_wunschmann_names_the_size_failure_and_alpha(capsys, alpha, cause):
     "10^400/2.0*p",  # an exact constant folded into a float: in div,
     "(10^400 + 0.5)*p",  # in a sum
     "10^400*0.5*p",  # and in a product
+    pytest.param("1" * 5000 + "*y", id="5000-digit-literal"),  # past int()'s digit limit
 ])
 def test_ode_invariants_oversized_constants_are_domain_errors(capsys, f):
     code, out, err = run(capsys, "ode", "invariants", "--f", f, "--at", "x=0.1,y=0.5,p=0.3")
@@ -244,6 +245,15 @@ def test_orbit_sample_count_is_capped(capsys):
               "--n", str(MAX_SAMPLES + 1)])
     assert exc.value.code == 2
     assert f"at most {MAX_SAMPLES} samples" in capsys.readouterr().err
+
+
+def test_orbit_sample_count_below_three_is_a_usage_error(capsys):
+    # as at the cap: the argument type rejects it, where sample_thetas would exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "sample", "--a", "0.5", "--b", "0", "--c", "1", "--n", "2"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith("argument --n: expected at least 3 samples, got 2")
 
 
 def test_ode_wunschmann_kepler(capsys):

@@ -592,6 +592,13 @@ def test_constant_overflow_message_gives_the_size_not_the_digits():
         evaluate(parse("p*2^60000"), {"p": 1.0})
 
 
+def test_an_integer_literal_past_the_digit_limit_is_a_size_error():
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by default)
+    with pytest.raises(ex.ExprSizeError, match="integer literal of 5000 digits"):
+        parse("1" * 5000 + "*y")
+    assert parse("1" * 4300 + "*y") is not None
+
+
 # --------------------------------------------------------------------------
 # Constant folding, cached doubles and the intern table
 # --------------------------------------------------------------------------

@@ -128,6 +128,12 @@ def test_radial_maps_reject_an_overflowing_denominator(call, param):
         call()
 
 
+def test_hill_dual_rejects_an_overflowing_image():
+    # 1e308 passes the energy check, but c + 2E overflows to inf
+    with pytest.raises(MapError, match=re.escape("energy=1e+308")):
+        hill_dual(from_abc(0.5, 0, 1), 1e308)
+
+
 # Each radial map is the x7 translation of the symmetry group: exp of the
 # generator with x7 = t sends the cone lift (x, y, r, 1) to (x, y, r, 1 + t r),
 # so its plane action is p -> p / (1 + t r) and its dual action c -> c + t.

@@ -97,6 +97,27 @@ def test_sample_repelling_branch():
         sample(from_abc(0.5, 0, 1), 5, branch="repelling")
 
 
+@pytest.mark.parametrize("n", [3, 24, 4001])
+@pytest.mark.parametrize("abc,branch", [
+    ((0.3, -0.4, 1.0), "attractive"),  # closed: the full circle
+    ((1.5, 0.7, 1.0), "attractive"),  # open arcs of a hyperbola
+    ((1.5, 0.7, 1.0), "repelling"),
+    ((0.6, 0.8, 1.0), "attractive"),  # and of a parabola
+])
+def test_sample_thetas_keeps_the_per_index_formulas_bits(abc, branch, n):
+    o = from_abc(*abc)
+    t0 = o.pericenter_angle
+    w = ko.arc_half_width(o, branch, ko.ARC_DELTA)
+    if w is None:
+        want = [t0 + 2.0 * math.pi * i / n for i in range(n)]
+    else:
+        step = 2.0 * w / (n + 1)
+        want = [t0 - w + (i + 1) * step for i in range(n)]
+    got = ko.sample_thetas(o, n, branch)
+    assert all(type(t) is float for t in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("abc,branch", [
     ((-2e200, 0.0, 2e200), "attractive"),  # the arc rounds to the full circle
     ((1.0000000000000002e16, 0.0, 1e16), "repelling"),

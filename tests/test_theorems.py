@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from keplersym import theorems as th
 from keplersym.minkowski import MinkVec, norm2
 from keplersym.orbit import (
     KeplerOrbit,
@@ -63,6 +64,49 @@ def test_closed_curve_derivatives_match_differences(curve):
         for f, df in ((curve.point, curve.d1), (curve.d1, curve.deriv2)):
             (x1, y1), (x0, y0) = f(t + h), f(t - h)
             assert df(t) == pytest.approx(((x1 - x0) / (2 * h), (y1 - y0) / (2 * h)), abs=1e-8)
+
+
+def _cos(t):  # a float or an array, as the curve kernels take
+    return (np if isinstance(t, np.ndarray) else math).cos(t)
+
+
+def _sin(t):
+    return (np if isinstance(t, np.ndarray) else math).sin(t)
+
+
+def _assert_array_call_keeps_float_bits(kernel, ts):
+    got = np.array(kernel(ts))
+    want = np.array([kernel(t) for t in ts.tolist()]).T
+    assert got.shape == want.shape == (2, len(ts))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("curve", [
+    circle_curve(0.6, -0.2, 1.3),
+    ellipse_curve(2.0, 0.5),
+    hooke_family(math.pi, np.linspace(-1.0, 1.0, 20))[3],
+    polar_graph_curve(lambda t: 1.0 + 0.1 * _cos(2 * t) - 0.05 * _sin(3 * t),
+                      lambda t: -0.2 * _sin(2 * t) - 0.15 * _cos(3 * t),
+                      lambda t: -0.4 * _cos(2 * t) + 0.45 * _sin(3 * t)),
+    orbit_curve(from_abc(0.3, -0.4, 1.0)),  # an ellipse: closed
+    orbit_curve(from_abc(1.5, 0.7, 1.0)),  # a hyperbola: an open arc
+    dual_curve(circle_curve(0.6, 0.0, 1.0)),
+    dual_curve(orbit_curve(from_abc(0.3, -0.4, 1.0))),
+], ids=["circle", "ellipse", "hooke", "polar", "orbit-ellipse", "orbit-hyperbola",
+        "dual-circle", "dual-orbit"])
+def test_curve_kernels_on_an_array_keep_their_float_bits(curve):
+    lo, hi = curve.domain
+    ts = np.linspace(lo, hi, 2001, endpoint=not curve.closed)
+    # a dual curve (no d2) checks each tangent line in its point map, so takes floats there
+    kernels = [curve.d1, curve.deriv2] if curve.d2 is None else [curve.point, curve.d1, curve.deriv2]
+    for kernel in kernels:
+        _assert_array_call_keeps_float_bits(kernel, ts)
+
+
+def test_dual_curvature_on_an_array_keeps_its_float_bits():
+    kappa = th._dual_curvature(circle_curve(0.6, 0.0, 1.0))
+    ts = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+    assert kappa(ts).tobytes() == np.array([kappa(t) for t in ts.tolist()]).tobytes()
 
 
 def test_a_curve_needs_its_first_derivative():
@@ -187,6 +231,8 @@ def test_kepler_vertices_fig12_circle():
 def test_kepler_vertices_degenerate_circle():
     with pytest.raises(DegenerateCurveError):
         kepler_vertices(circle_curve(0.0, 0.0, 1.0))
+    with pytest.raises(DegenerateCurveError):  # an orbit's dual is a circle
+        kepler_vertices(orbit_curve(from_abc(0.3, -0.4, 1.0)))
 
 
 def test_kepler_vertices_centered_ellipse():
@@ -201,13 +247,13 @@ def test_kepler_vertices_random_star_shaped():
         a2, b2, a3, b3 = rng.uniform(-0.05, 0.05, size=4)
 
         def r_fn(t):
-            return 1.0 + a2 * math.cos(2 * t) + b2 * math.sin(2 * t) + a3 * math.cos(3 * t) + b3 * math.sin(3 * t)
+            return 1.0 + a2 * np.cos(2 * t) + b2 * np.sin(2 * t) + a3 * np.cos(3 * t) + b3 * np.sin(3 * t)
 
         def dr_fn(t):
-            return -2 * a2 * math.sin(2 * t) + 2 * b2 * math.cos(2 * t) - 3 * a3 * math.sin(3 * t) + 3 * b3 * math.cos(3 * t)
+            return -2 * a2 * np.sin(2 * t) + 2 * b2 * np.cos(2 * t) - 3 * a3 * np.sin(3 * t) + 3 * b3 * np.cos(3 * t)
 
         def d2r_fn(t):
-            return -4 * a2 * math.cos(2 * t) - 4 * b2 * math.sin(2 * t) - 9 * a3 * math.cos(3 * t) - 9 * b3 * math.sin(3 * t)
+            return -4 * a2 * np.cos(2 * t) - 4 * b2 * np.sin(2 * t) - 9 * a3 * np.cos(3 * t) - 9 * b3 * np.sin(3 * t)
 
         curve = polar_graph_curve(r_fn, dr_fn, d2r_fn)
         # strict convexity check: gamma', gamma'' independent everywhere

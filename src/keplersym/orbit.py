@@ -330,6 +330,17 @@ def _pericenter_time_scale(o: KeplerOrbit) -> float:
     return 2.0 * math.pi * r0 ** 1.5
 
 
+def newton_grid(o: KeplerOrbit, dt: float | None = None) -> tuple[float, int]:
+    """`newton_flow`'s default (dt, steps): dt is 1e-4 pericenter time scales
+    unless given, and the steps cover one period of an ellipse (at most
+    200,000 of them) or are 10,000 for an open orbit."""
+    if dt is None:
+        dt = 1e-4 * _pericenter_time_scale(o)
+    if o.conic_class() is ConicClass.ELLIPSE:
+        return dt, min(math.ceil(period(o) / dt), 200_000)
+    return dt, 10_000
+
+
 def rk4(f, y0, h: float, steps: int, guard=None) -> np.ndarray:
     """Classic fixed-step RK4 for y' = f(y); returns the (steps+1, d) or (steps+1, d, n) states.
 
@@ -370,13 +381,9 @@ def newton_flow(o: KeplerOrbit, steps: int | None = None, dt: float | None = Non
     defining equation a x + b y + c r = 1.  Defaults integrate one full
     period for ellipses (step count capped) and a fixed arc otherwise.
     """
-    if dt is None:
-        dt = 1e-4 * _pericenter_time_scale(o)
+    dt, default_steps = newton_grid(o, dt)
     if steps is None:
-        if o.conic_class() is ConicClass.ELLIPSE:
-            steps = min(math.ceil(period(o) / dt), 200_000)
-        else:
-            steps = 10_000
+        steps = default_steps
     t0 = o.pericenter_angle
     r0 = 1.0 / (math.hypot(o.a, o.b) + o.c)
     ux, uy = math.cos(t0), math.sin(t0)

@@ -327,17 +327,17 @@ def flow(x: AlgebraElement, p: PlanePoint, t: float, sheet: int = 1,
     return PlanePoint(*end.tolist())
 
 
-def flow_dual(x: AlgebraElement, v: MinkVec, t: float) -> MinkVec:
+def flow_dual(x: AlgebraElement, v: MinkVec, t: float, steps: int | None = None) -> MinkVec:
     """RK4 endpoint of the dual flow of X."""
-    end = _rk4_endpoint(lambda w: vf_dual(x, MinkVec(*w)).as_tuple(), v.as_tuple(), t, None)
+    end = _rk4_endpoint(lambda w: vf_dual(x, MinkVec(*w)).as_tuple(), v.as_tuple(), t, steps)
     return MinkVec(*end.tolist())
 
 
-def flow_dual_batch(xs, vs, t: float) -> list[MinkVec]:
+def flow_dual_batch(xs, vs, t: float, steps: int | None = None) -> list[MinkVec]:
     """RK4 endpoints of the dual flows of xs[i] from vs[i], integrated in one pass
     as one column of 3n coordinates (all a, all b, all c).  Each element goes
     through `_dual_field`'s operations in its order (a * -x2 + b * q is
-    b * q - a * x2 exactly), so each endpoint is flow_dual(xs[i], vs[i], t)'s.
+    b * q - a * x2 exactly), so each endpoint is flow_dual(xs[i], vs[i], t, steps)'s.
     """
     if len(xs) != len(vs) or not xs:
         raise ValueError("flow_dual_batch needs as many generators as starts, at least one")
@@ -349,5 +349,5 @@ def flow_dual_batch(xs, vs, t: float) -> list[MinkVec]:
         a, b, c = v = y[0].reshape(3, -1)
         return ((v * w3 - (((a * c0 + b * c1) + c * c2) - e)).ravel(),)
 
-    end = _rk4_endpoint(field, (np.array([v.as_tuple() for v in vs]).T.ravel(),), t, None)
+    end = _rk4_endpoint(field, (np.array([v.as_tuple() for v in vs]).T.ravel(),), t, steps)
     return [MinkVec(*row) for row in end.reshape(3, -1).T.tolist()]

@@ -187,6 +187,8 @@ def dual_point_of_tangent(curve: ParametricCurve, t: float) -> tuple[float, floa
     x, y = curve.point(t)
     dx, dy = curve.d1(t)
     w = x * dy - y * dx
+    if isinstance(w, np.ndarray):
+        raise TheoremError("the dual point of a tangent takes one parameter value, not an array")
     if abs(w) <= 1e-14 * (1.0 + abs(x * dy) + abs(y * dx)):
         raise TheoremError(f"tangent line passes through the origin at t={t}")
     return (dy / w, -dx / w)
@@ -571,12 +573,6 @@ def tangency_report(member: KeplerOrbit, envelope: KeplerOrbit) -> TangencyRepor
 # --------------------------------------------------------------------------
 # Curved-space projection laws
 # --------------------------------------------------------------------------
-
-def curved_energy(energy: float, ang_momentum: float, curvature: float) -> float:
-    """Energy seen on the curvature-k surface whose orbits centrally
-    project to planar orbits of energy E: E_k = E + (k/2) M^2."""
-    return energy + 0.5 * curvature * ang_momentum * ang_momentum
-
 
 def curved_quadric_residual(v: MinkVec, e_k: float, curvature: float) -> float:
     """Residual of a^2 + b^2 - (c - |E_k|)^2 = -E_k^2 - k for a signed

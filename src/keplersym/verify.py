@@ -34,10 +34,12 @@ from .minkowski import MinkVec, PlaneType, classify_plane, pencil_classify, poin
 from .orbit import (
     KeplerOrbit,
     PlanePoint,
+    conic_residual,
     from_abc,
     fit,
     membership_residual,
     newton_flow,
+    newton_grid,
     sample,
 )
 from .symmetry import (
@@ -151,6 +153,26 @@ def case(suite: str, tol: float):
 def _worst(*residuals: float) -> float:
     """The largest residual, a NaN counting as infinite (`max` would drop it)."""
     return max(math.inf if r != r else r for r in residuals)
+
+
+def _step_doubled(run, first: int, cap: int, target: float) -> tuple[np.ndarray, int, float]:
+    """Step doubling (Richardson; Hairer, Norsett and Wanner, *Solving ODEs I*,
+    II.4): `run(n)` gives an RK4 oracle's signed residuals after n steps over a
+    fixed span, along a last axis of the n + 1 grid times or of the endpoint
+    alone.  Returns (r_N, N, estimate) at the first N of first, 2 first, ...
+    whose estimate max|r_N - r_(N/2)| / 15 on the shared grid is at most
+    `target`; reaching `cap` fails the case.
+    """
+    n, prev, estimate = first, run(first), math.inf
+    while 2 * n <= cap:
+        n *= 2
+        r = run(n)
+        estimate = float(np.max(np.abs(r[..., ::2] - prev))) / 15.0
+        if estimate <= target:
+            return r, n, estimate
+        prev = r
+    raise CaseFailed(float(np.max(np.abs(prev))),
+                     f"steps={n} reached the cap {cap} with estimate {estimate:.1e} > {target:.0e}")
 
 
 def _random_orbit(rng, c_range=(0.5, 2.0), e_range=(0.0, 1.6)) -> KeplerOrbit:
@@ -268,8 +290,11 @@ def case_one_param_subgroup(seed: int, rng) -> float:
     return worst
 
 
+QUADRIC_TARGET = 1e-11  # the quadric case's tolerance / 100
+
+
 @case("symmetry", tol=1e-9)
-def case_fixed_energy_quadric(seed: int, rng) -> float:
+def case_fixed_energy_quadric(seed: int, rng) -> tuple[float, str]:
     energies, gens, starts = [], [], []
     for energy in (-1.0, 0.5, 2.0):
         k = abs(energy)
@@ -280,11 +305,14 @@ def case_fixed_energy_quadric(seed: int, rng) -> float:
                 energies.append(energy)
                 gens.append(gen)
                 starts.append(MinkVec(float(a), float(b), float(c)))
-    worst = 0.0
-    for energy, v in zip(energies, flow_dual_batch(gens, starts, 0.8)):
-        q = v.a**2 + v.b**2 - (v.c - abs(energy)) ** 2
-        worst = _worst(worst, abs(q + energy * energy))
-    return worst
+    energy = np.array(energies)
+
+    def residuals(steps: int) -> np.ndarray:
+        a, b, c = np.array([v.as_tuple() for v in flow_dual_batch(gens, starts, 0.8, steps)]).T
+        return (a * a + b * b - (c - np.abs(energy)) ** 2 + energy * energy)[:, None]
+
+    r, steps, estimate = _step_doubled(residuals, 100, 1600, QUADRIC_TARGET)
+    return float(np.max(np.abs(r))), f"steps={steps}, estimate={estimate:.1e}"
 
 
 # --------------------------------------------------------------------------
@@ -543,27 +571,44 @@ def case_envelope_hooke(seed: int, rng) -> float:
     return worst
 
 
+NEWTON_ORBITS = ((0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (2.0, 0.0, 1.0))
+NEWTON_TARGET = 1e-10  # newton_conservation's tolerance / 100, the pair's smaller
+
+
 @functools.cache
-def _newton_residuals() -> tuple[float, float]:
-    """(membership, conservation) residuals of the RK4 oracle; seed-free."""
-    membership = conservation = 0.0
-    for triple in ((0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (2.0, 0.0, 1.0)):
+def _newton_residuals() -> tuple[float, float, str]:
+    """(membership, conservation, detail) of the RK4 Newton oracle; seed-free.
+    Each orbit spans newton_flow's default run, in the steps step doubling picks."""
+    worst, steps, estimates = [], [], []
+    for triple in NEWTON_ORBITS:
         o = from_abc(*triple)
-        traj = newton_flow(o)
-        membership = _worst(membership, float(np.max(traj.membership_residuals(o))))
-        conservation = _worst(conservation, float(np.max(np.abs(traj.energies() - o.energy))),
-                              float(np.max(np.abs(np.abs(traj.ang_momenta()) - o.ang_momentum))))
-    return membership, conservation
+        dt, cap = newton_grid(o)
+
+        def residuals(n: int) -> np.ndarray:
+            traj = newton_flow(o, steps=n, dt=cap * dt / n)
+            return np.array([conic_residual(o, *traj.pos.T, traj.radii()),
+                             traj.energies() - o.energy,
+                             np.abs(traj.ang_momenta()) - o.ang_momentum])
+
+        r, n, estimate = _step_doubled(residuals, 500, cap, NEWTON_TARGET)
+        worst.append(np.max(np.abs(r), axis=1))
+        steps.append(n)
+        estimates.append(estimate)
+    membership, energy, momentum = np.max(worst, axis=0)  # a NaN propagates
+    return (float(membership), float(np.max([energy, momentum])),
+            f"steps={steps}, estimate={max(estimates):.1e}")
 
 
 @case("theorems", tol=1e-6)
-def case_newton_membership(seed: int, rng) -> float:
-    return _newton_residuals()[0]
+def case_newton_membership(seed: int, rng) -> tuple[float, str]:
+    membership, _, detail = _newton_residuals()
+    return membership, detail
 
 
 @case("theorems", tol=1e-8)
-def case_newton_conservation(seed: int, rng) -> float:
-    return _newton_residuals()[1]
+def case_newton_conservation(seed: int, rng) -> tuple[float, str]:
+    _, conservation, detail = _newton_residuals()
+    return conservation, detail
 
 
 @case("theorems", tol=1e-9)

@@ -305,6 +305,20 @@ def test_newton_flow_hyperbola_conservation():
     assert np.max(np.abs(np.abs(M) - 1.0)) <= 1e-10
 
 
+def test_newton_grid_is_newton_flows_default():
+    counts = {(0, 0, 1): 10_000, (0.5, 0, 1): 28_285, (2, 0, 1): 10_000, (1, 0, 1): 10_000}
+    for abc, steps in counts.items():
+        o = from_abc(*abc)
+        assert ko.newton_grid(o) == (1e-4 * ko._pericenter_time_scale(o), steps)
+    o = from_abc(0.95, 0, 1)
+    assert ko.newton_grid(o)[1] == 200_000
+    assert ko.newton_grid(o, 0.5) == (0.5, math.ceil(ko.period(o) / 0.5))
+    o = from_abc(0.3, 0.1, 2.0)
+    dt, steps = ko.newton_grid(o)
+    traj = newton_flow(o)
+    assert (len(traj.t), traj.t[1]) == (steps + 1, dt)
+
+
 def _array_rk4(f, y, h, steps):
     """Reference RK4 over numpy arrays, written apart from orbit.rk4."""
     out = [y]

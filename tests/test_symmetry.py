@@ -501,8 +501,9 @@ def test_flow_dual_batch_equals_single_flows(t):
     gens = [AlgebraElement(*rng.uniform(-0.5, 0.5, size=7)) for _ in range(20)]
     gens += list(fixed_energy_algebra(-1.0))
     starts = [MinkVec(*rng.uniform(-1.0, 1.0, size=2), rng.uniform(1.5, 3.0)) for _ in gens]
-    got = flow_dual_batch(gens, starts, t)
-    assert got == [flow_dual(x, v, t) for x, v in zip(gens, starts)]
+    for steps in (None, 100, 200):  # the default, and the counts fixed_energy_quadric first compares
+        got = flow_dual_batch(gens, starts, t, steps)
+        assert got == [flow_dual(x, v, t, steps) for x, v in zip(gens, starts)]
 
 
 @pytest.mark.parametrize("xs,vs", [

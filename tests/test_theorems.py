@@ -25,7 +25,6 @@ from keplersym.theorems import (
     Jet2Polar,
     ParametricCurve,
     circle_curve,
-    curved_energy,
     curved_quadric_residual,
     dual_curve,
     dual_of_orbit,
@@ -129,6 +128,11 @@ def test_dual_curve_of_centered_circle():
     for t in np.linspace(0, 2 * math.pi, 13):
         a, b = dual.point(t)
         assert math.hypot(a, b) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_dual_point_of_an_array_of_parameters_is_a_typed_error():
+    with pytest.raises(TheoremError, match="not an array"):
+        dual_curve(circle_curve(0.6, 0, 1)).point(np.linspace(0, 1, 5))
 
 
 def test_double_duality_returns_curve():
@@ -436,12 +440,6 @@ def test_envelope_hooke_lines_and_square_image():
         report = tangency_report(res.orbit, kepler_env)
         assert report.even_contact
         assert report.residual <= 1e-6
-
-
-def test_curved_energy_values():
-    assert curved_energy(0.7, 1.3, 0.0) == 0.7
-    assert curved_energy(-0.5, 1.0, 1.0) == pytest.approx(0.0)
-    assert curved_energy(1.0, 2.0, -1.0) == pytest.approx(-1.0)
 
 
 def test_curved_quadric_residuals():

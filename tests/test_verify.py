@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from keplersym import verify as vf
+from keplersym.orbit import from_abc, newton_grid
 
 CASES = {
     "symmetry": ["vf_plane_closed_forms", "vf_dual_closed_forms", "commuting_square",
@@ -89,3 +91,61 @@ def test_report_writes_non_finite_residual_as_null(residual):
     (case,) = json.loads(json.dumps(report.to_dict(), allow_nan=False))["cases"]
     assert case["residual"] is None
     assert case["status"] == "fail"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_step_doubled_oracles_sit_100x_below_their_tolerances(seed):
+    for case in (vf.case_newton_membership, vf.case_newton_conservation,
+                 vf.case_fixed_energy_quadric):
+        result = case(seed)
+        assert result.status == "pass"
+        assert result.residual <= result.tol / 100, result
+
+
+def test_step_doubling_never_exceeds_the_default_step_counts(monkeypatch, fresh_newton):
+    newton_steps, quadric_steps = [], []
+
+    def newton_flow(o, steps, dt):
+        newton_steps.append((o, steps))
+        return flow(o, steps, dt)
+
+    def flow_dual_batch(xs, vs, t, steps):
+        quadric_steps.append(steps)
+        return batch(xs, vs, t, steps)
+
+    flow, batch = vf.newton_flow, vf.flow_dual_batch
+    monkeypatch.setattr(vf, "newton_flow", newton_flow)
+    monkeypatch.setattr(vf, "flow_dual_batch", flow_dual_batch)
+    assert vf.case_newton_membership(0).status == "pass"
+    assert vf.case_fixed_energy_quadric(0).status == "pass"
+    assert {o for o, _ in newton_steps} == {from_abc(*t) for t in vf.NEWTON_ORBITS}
+    assert all(steps <= newton_grid(o)[1] for o, steps in newton_steps)
+    assert quadric_steps and max(quadric_steps) <= 1600
+    # the defaults take 10,000 + 28,285 + 10,000 steps
+    assert sum(steps for _, steps in newton_steps) <= 15_000
+
+
+def test_a_target_never_met_fails_at_the_cap_naming_it(monkeypatch, fresh_newton):
+    monkeypatch.setattr(vf, "QUADRIC_TARGET", 0.0)
+    result = vf.case_fixed_energy_quadric(0)
+    assert result.status == "fail"
+    assert result.detail.startswith("steps=1600 reached the cap 1600 with estimate ")
+    monkeypatch.setattr(vf, "NEWTON_TARGET", -1.0)
+    result = vf.case_newton_membership(0)
+    assert result.status == "fail"
+    assert result.detail.startswith("steps=8000 reached the cap 10000 with estimate ")
+
+
+def test_step_doubled_compares_on_the_shared_grid():
+    # r_N = 1/N at each of the N + 1 grid times: the estimate is (1/N - 2/N) / 15 = 1/(15 N)
+    def run(n):
+        return np.full((2, n + 1), 1.0 / n)
+
+    r, n, estimate = vf._step_doubled(run, 10, 1000, 1e-3)
+    assert (n, r.shape) == (80, (2, 81))
+    assert estimate == pytest.approx(1 / 1200)
+    with pytest.raises(vf.CaseFailed) as failed:
+        vf._step_doubled(lambda n: np.full((1, n + 1), math.nan), 10, 50, 1.0)
+    residual, detail = failed.value.args
+    assert math.isnan(residual)
+    assert detail == "steps=40 reached the cap 50 with estimate nan > 1e+00"

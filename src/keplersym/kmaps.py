@@ -41,13 +41,13 @@ def check_energy(energy: float) -> None:
 def _radial(p: PlanePoint, denom: float, circle: str | None, name: str,
             value: float) -> PlanePoint:
     """The image p / denom.  An overflowing denom is a MapError naming `name=value`,
-    one on the map's singular `circle` (None: it has none) a SingularRadiusError."""
-    if not SINGULAR_TOL < abs(denom) < math.inf:
-        if circle is not None and abs(denom) <= SINGULAR_TOL:
-            raise SingularRadiusError(f"radius {p.r} sits on the singular circle {circle}")
-        if not abs(denom) < math.inf:
-            raise MapError(f"radius {p.r} overflows the map's denominator at {name}={value!r}")
-    return PlanePoint(p.x / denom, p.y / denom)
+    one on the map's singular `circle` a SingularRadiusError; a map with no such
+    circle (None) divides by any finite denom."""
+    if SINGULAR_TOL < abs(denom) < math.inf or (circle is None and abs(denom) < math.inf):
+        return PlanePoint(p.x / denom, p.y / denom)
+    if abs(denom) < math.inf:
+        raise SingularRadiusError(f"radius {p.r} sits on the singular circle {circle}")
+    raise MapError(f"radius {p.r} overflows the map's denominator at {name}={value!r}")
 
 
 def square(p: PlanePoint) -> PlanePoint:
@@ -70,7 +70,7 @@ def square_line_image(angle: float, distance: float) -> KeplerOrbit:
 
 def flatten_m(p: PlanePoint, m: float) -> PlanePoint:
     """Radial map r -> r / (1 - r / M^2); straightens orbits with |M| = m."""
-    return _radial(p, 1.0 - p.r / m_squared(m), "r = M^2", "m", m)
+    return _radial(p, 1.0 - math.hypot(p.x, p.y) / m_squared(m), "r = M^2", "m", m)
 
 
 def flatten_m_dual(v: MinkVec, m: float) -> MinkVec:
@@ -82,7 +82,7 @@ def hill_embed(p: PlanePoint, energy: float) -> PlanePoint:
     """Radial map r -> r / (1 + 2 E r) embedding the energy-E Hill region
     (E > 0) into the energy -E one."""
     check_energy(energy)
-    return _radial(p, 1.0 + 2.0 * energy * p.r, None, "energy", energy)
+    return _radial(p, 1.0 + 2.0 * energy * math.hypot(p.x, p.y), None, "energy", energy)
 
 
 def hill_dual(o: KeplerOrbit, energy: float) -> KeplerOrbit:
@@ -103,7 +103,7 @@ def reflect_dual_signed(v: MinkVec, energy: float) -> MinkVec:
 def repel_embed(p: PlanePoint, energy: float) -> PlanePoint:
     """Radial map r -> r / (1 - 2 E r) for repelling-branch points."""
     check_energy(energy)
-    return _radial(p, 1.0 - 2.0 * energy * p.r, "r = 1/(2E)", "energy", energy)
+    return _radial(p, 1.0 - 2.0 * energy * math.hypot(p.x, p.y), "r = 1/(2E)", "energy", energy)
 
 
 def parabola_chart(big_x: float, big_y: float) -> PlanePoint:

@@ -54,16 +54,39 @@ class ConicClass(str, Enum):
     HYPERBOLA = "hyperbola"
 
 
-@dataclass(frozen=True)
 class PlanePoint:
-    x: float
-    y: float
+    """A point of the punctured Kepler plane: an immutable value, equal to and
+    hashed like another PlanePoint with the same coordinates."""
 
-    def __post_init__(self):
-        if self.x == 0.0 and self.y == 0.0:
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        if x == 0.0 and y == 0.0:
             raise OrbitError("the origin is excluded from the Kepler plane")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise OrbitError(f"coordinates must be finite, got ({self.x}, {self.y})")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise OrbitError(f"coordinates must be finite, got ({x}, {y})")
+        _set_x(self, x)
+        _set_y(self, y)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) == (other.x, other.y)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"PlanePoint(x={self.x!r}, y={self.y!r})"
+
+    def __reduce__(self):
+        return (PlanePoint, (self.x, self.y))
 
     @property
     def r(self) -> float:
@@ -75,6 +98,10 @@ class PlanePoint:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
+
+
+# the slot setters, which __init__ calls past the blocking __setattr__
+_set_x, _set_y = PlanePoint.x.__set__, PlanePoint.y.__set__
 
 
 @dataclass(frozen=True)
@@ -180,19 +207,39 @@ def radius(o: KeplerOrbit, theta: float, branch: str = "attractive") -> float:
     return 1.0 / p
 
 
+def _points(o: KeplerOrbit, thetas, branch: str) -> list[PlanePoint]:
+    """The branch's points at the angles: r = 1/rho, (r cos, r sin)."""
+    sign = _branch_sign(branch)
+    a, b, sc = o.a, o.b, sign * o.c
+    cos, sin = math.cos, math.sin
+    out = []
+    for theta in thetas:
+        ct, st = cos(theta), sin(theta)
+        p = a * ct + b * st + sc
+        if p <= 0.0:  # also where rounding cancels rho of an extreme triple
+            raise BranchDomainError(f"theta={theta} is outside the {branch} branch domain (rho={p})")
+        r = 1.0 / p
+        out.append(PlanePoint(r * ct, r * st))
+    return out
+
+
 def point_at(o: KeplerOrbit, theta: float, branch: str = "attractive") -> PlanePoint:
-    r = radius(o, theta, branch)
-    return PlanePoint(r * math.cos(theta), r * math.sin(theta))
+    return _points(o, (theta,), branch)[0]
 
 
 def arc_half_width(o: KeplerOrbit, branch: str, delta: float) -> float | None:
     """Half-width w of the arc |theta - pericenter angle| < w on which the
-    branch has rho > delta, or None when that holds on the full circle."""
+    branch has rho > delta, or None when that holds on the full circle.
+    delta must lie in [0, the branch's largest rho)."""
     sign = _branch_sign(branch)
     h = math.hypot(o.a, o.b)
-    bound = delta - sign * o.c
-    if sign < 0.0 and h <= bound:
+    if sign < 0.0 and h <= o.c:
         raise BranchDomainError("orbit has no repelling branch")
+    top = h + sign * o.c
+    if not 0.0 <= delta < top:  # also a NaN delta
+        raise BranchDomainError(
+            f"delta={delta!r} is outside [0, {top!r}), the {branch} branch's range of rho")
+    bound = delta - sign * o.c
     if h == 0.0 or bound / h <= -1.0:
         return None
     return math.acos(max(-1.0, min(1.0, bound / h)))
@@ -215,7 +262,7 @@ def sample_thetas(
 def sample(
     o: KeplerOrbit, n: int, branch: str = "attractive", delta: float = ARC_DELTA
 ) -> list[PlanePoint]:
-    return [point_at(o, t, branch) for t in sample_thetas(o, n, branch, delta)]
+    return _points(o, sample_thetas(o, n, branch, delta), branch)
 
 
 def contains(o: KeplerOrbit, p: PlanePoint, tol: float = 1e-9) -> Membership:
@@ -311,9 +358,6 @@ class Trajectory:
 
     def ang_momenta(self) -> np.ndarray:
         return self.pos[:, 0] * self.vel[:, 1] - self.pos[:, 1] * self.vel[:, 0]
-
-    def membership_residuals(self, o: KeplerOrbit) -> np.ndarray:
-        return np.abs(conic_residual(o, self.pos[:, 0], self.pos[:, 1], self.radii()))
 
 
 def period(o: KeplerOrbit) -> float:

@@ -213,17 +213,13 @@ def inverse(g: GroupElement) -> GroupElement:
 # Actions
 # --------------------------------------------------------------------------
 
-def _cone_z(p: PlanePoint, sheet: int) -> float:
-    """Third coordinate of the cone lift q = (x, y, sheet*r, 1) of p."""
+def act_plane(g: GroupElement, p: PlanePoint, sheet: int = 1) -> PlanePoint:
+    """Projective action through the cone lift q = (x, y, sheet*r, 1): q -> A q / (lam + b.q),
+    each row times q summed as (x, z) terms plus (y, 1) terms, as numpy's 4x4 matmul pairs them."""
+    px, py = p.x, p.y
     if sheet not in (1, -1):
         raise SymmetryError("sheet must be +1 or -1")
-    return sheet * p.r
-
-
-def act_plane(g: GroupElement, p: PlanePoint, sheet: int = 1) -> PlanePoint:
-    """Projective action through the cone lift: q -> A q / (lam + b.q), each row
-    times q summed as (x, z) terms plus (y, 1) terms, as numpy's 4x4 matmul pairs them."""
-    px, py, pz = p.x, p.y, _cone_z(p, sheet)
+    pz = sheet * math.hypot(px, py)
     (a0, a1, a2, a3), (b0, b1, b2, b3), _, (w0, w1, w2, w3) = g.rows
     w = (w0 * px + w2 * pz) + (w1 * py + w3)
     if abs(w) <= CHART_TOL * math.sqrt(px * px + py * py + pz * pz + 1.0):
@@ -250,7 +246,10 @@ def vf_plane(x: AlgebraElement, p: PlanePoint, sheet: int = 1) -> tuple[float, f
     """Infinitesimal plane action: gamma'(0) for gamma(t) = pi(e^{tX} q), as (vx, vy):
     u[:2] - (x, y) u[3] for u = matrix @ q, each row summed as in act_plane."""
     q, x2, x3, x4, x5, x6, x7 = _entries(x)
-    px, py, pz = p.x, p.y, _cone_z(p, sheet)
+    px, py = p.x, p.y
+    if sheet not in (1, -1):
+        raise SymmetryError("sheet must be +1 or -1")
+    pz = sheet * math.hypot(px, py)
     u3 = (x5 * px + x7 * pz) + (x6 * py - 3.0 * q)
     return ((q * px + x3 * pz) - x2 * py - px * u3, (x2 * px + x4 * pz) + q * py - py * u3)
 

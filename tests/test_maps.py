@@ -128,6 +128,38 @@ def test_radial_maps_reject_an_overflowing_denominator(call, param):
         call()
 
 
+def test_radial_maps_keep_the_per_point_formulas_bits():
+    # the former kernels, written out with r = p.r: p / (1 - r/M^2), p / (1 + 2 E r), p / (1 - 2 E r)
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        p = PlanePoint(*rng.uniform(-3.0, 3.0, size=2).tolist())
+        m, energy = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.05, 2.0))
+        r = p.r
+        for got, denom in ((flatten_m(p, m), 1.0 - r / (m * m)),
+                           (hill_embed(p, energy), 1.0 + 2.0 * energy * r),
+                           (repel_embed(p, energy), 1.0 - 2.0 * energy * r)):
+            want = (p.x / denom, p.y / denom)
+            assert np.array(got.as_tuple()).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("call,kind,message", [
+    (lambda: flatten_m(PlanePoint(1.0, 0.0), 1.0), SingularRadiusError,
+     "radius 1.0 sits on the singular circle r = M^2"),
+    (lambda: repel_embed(PlanePoint(0.5, 0.0), 1.0), SingularRadiusError,
+     "radius 0.5 sits on the singular circle r = 1/(2E)"),
+    (lambda: flatten_m(PlanePoint(1e300, 0.0), 1e-150), MapError,
+     "radius 1e+300 overflows the map's denominator at m=1e-150"),
+    (lambda: hill_embed(PlanePoint(0.5, 0.0), 1e308), MapError,
+     "radius 0.5 overflows the map's denominator at energy=1e+308"),
+    (lambda: repel_embed(PlanePoint(0.5, 0.0), 1e308), MapError,
+     "radius 0.5 overflows the map's denominator at energy=1e+308"),
+], ids=["flatten-singular", "repel-singular", "flatten-overflow", "hill-overflow", "repel-overflow"])
+def test_radial_map_errors_keep_their_types_and_messages(call, kind, message):
+    with pytest.raises(MapError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
 def test_hill_dual_rejects_an_overflowing_image():
     # 1e308 passes the energy check, but c + 2E overflows to inf
     with pytest.raises(MapError, match=re.escape("energy=1e+308")):

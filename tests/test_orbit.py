@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,7 @@ from keplersym.orbit import (
     conic_residual,
     geometry,
     newton_flow,
+    point_at,
     radius,
     sample,
 )
@@ -116,6 +119,64 @@ def test_sample_thetas_keeps_the_per_index_formulas_bits(abc, branch, n):
     got = ko.sample_thetas(o, n, branch)
     assert all(type(t) is float for t in got)
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _xy_bytes(points) -> bytes:
+    return np.array([(p.x, p.y) for p in points], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 24, 2000])
+@pytest.mark.parametrize("branch", ["attractive", "repelling"])
+@pytest.mark.parametrize("abc", [(0.3, -0.4, 1.0), (0.6, 0.8, 1.0), (1.5, 0.7, 1.0)],
+                         ids=["ellipse", "parabola", "hyperbola"])
+def test_sample_keeps_the_per_point_formulas_bits(abc, branch, n):
+    o = from_abc(*abc)
+    if branch == "repelling" and o.conic_class() is not ConicClass.HYPERBOLA:
+        with pytest.raises(BranchDomainError, match="^orbit has no repelling branch$"):
+            sample(o, n, branch)
+        return
+    # the former kernel: rho, then the radius, then the point, each angle on its own
+    sign = 1.0 if branch == "attractive" else -1.0
+    thetas = ko.sample_thetas(o, n, branch)
+    want = []
+    for t in thetas:
+        r = 1.0 / (o.a * math.cos(t) + o.b * math.sin(t) + sign * o.c)
+        want.append((r * math.cos(t), r * math.sin(t)))
+    got = sample(o, n, branch)
+    assert _xy_bytes(got) == np.array(want).tobytes()
+    assert all(type(p.x) is float and type(p.y) is float for p in got)
+    assert _xy_bytes(point_at(o, t, branch) for t in thetas) == _xy_bytes(got)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+@pytest.mark.parametrize("branch", ["attractive", "repelling"])
+def test_sampling_refuses_a_non_finite_or_negative_delta(branch, delta):
+    h = from_abc(2, 0, 1)  # a hyperbola: both branches exist
+    for call in (lambda: ko.arc_half_width(h, branch, delta),
+                 lambda: ko.sample_thetas(h, 4, branch, delta),
+                 lambda: sample(h, 4, branch, delta)):
+        with pytest.raises(BranchDomainError, match=rf"^delta={delta!r} is outside \[0, "):
+            call()
+
+
+@pytest.mark.parametrize("branch,top", [("attractive", 3.0), ("repelling", 1.0)])
+def test_sampling_refuses_a_delta_at_or_above_the_largest_rho(branch, top):
+    # rho = 2 cos + sign: at most 3 on the attractive branch, 1 on the repelling one
+    h = from_abc(2, 0, 1)
+    for delta in (top, 5.0):
+        with pytest.raises(BranchDomainError, match=rf"delta={delta!r} is outside \[0, {top!r}\), "
+                                                    rf"the {branch} branch's range of rho"):
+            sample(h, 4, branch, delta)
+    # just below the largest rho the arc is narrow but every point keeps rho > delta
+    delta = 0.99 * top
+    sign = 1.0 if branch == "attractive" else -1.0
+    pts = sample(h, 4, branch, delta)
+    assert len({p.as_tuple() for p in pts}) == 4
+    assert all(ko.rho(h, p.theta, sign) > delta for p in pts)
+    # a circle's rho is c everywhere: any delta in [0, c) keeps the full circle
+    assert ko.arc_half_width(from_abc(0, 0, 1), "attractive", 0.5) is None
+    with pytest.raises(BranchDomainError, match="delta=1.0"):
+        ko.arc_half_width(from_abc(0, 0, 1), "attractive", 1.0)
 
 
 @pytest.mark.parametrize("abc,branch", [
@@ -291,7 +352,7 @@ def test_newton_flow_circle():
 def test_newton_flow_membership_ellipse():
     o = from_abc(0.5, 0, 1)
     traj = newton_flow(o)
-    assert np.max(traj.membership_residuals(o)) <= 1e-6
+    assert np.max(np.abs(conic_residual(o, traj.pos[:, 0], traj.pos[:, 1], traj.radii()))) <= 1e-6
     # one full period was integrated
     assert ko.period(o) <= traj.t[-1] <= ko.period(o) + 2 * traj.t[1]
 
@@ -426,3 +487,29 @@ def test_plane_point_rejects_non_finite_coordinates(bad):
     for coords in ((bad, 1.0), (1.0, bad), (bad, 0.0)):
         with pytest.raises(OrbitError, match="finite"):
             PlanePoint(*coords)
+
+
+def test_plane_point_is_an_immutable_value():
+    p = PlanePoint(x=0.25, y=-1.5)
+    assert (p.x, p.y, p.as_tuple()) == (0.25, -1.5, (0.25, -1.5))
+    assert p.r == math.hypot(0.25, -1.5) and p.theta == math.atan2(-1.5, 0.25)
+    assert repr(p) == "PlanePoint(x=0.25, y=-1.5)"
+    with pytest.raises(OrbitError, match="^the origin is excluded from the Kepler plane$"):
+        PlanePoint(0.0, -0.0)
+    with pytest.raises(OrbitError, match=r"^coordinates must be finite, got \(nan, 1.0\)$"):
+        PlanePoint(x=math.nan, y=1.0)
+    # equal and hashed by value, but never equal to a bare tuple
+    q = PlanePoint(0.25, -1.5)
+    assert p == q and not p != q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != PlanePoint(0.25, 1.5)
+    assert p != (0.25, -1.5) and (0.25, -1.5) != p
+    for name in ("x", "y", "z"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(p, name, 1.0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(p, name)
+    assert (p.x, p.y) == (0.25, -1.5)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert type(twin) is PlanePoint and twin == p and repr(twin) == repr(p)
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(p, proto)) == p

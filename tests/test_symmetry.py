@@ -357,11 +357,38 @@ def test_act_plane_is_the_projected_matrix_image():
 
 def test_act_plane_chart_exit_and_cone_vertex():
     # w = lam + b.q = 1 - x vanishes at (1, 0)
-    with pytest.raises(ChartExitError, match="affine chart"):
+    with pytest.raises(ChartExitError, match="^image leaves the affine chart$"):
         act_plane(group_element(np.eye(3), (-1.0, 0.0, 0.0), 1.0), PlanePoint(1.0, 0.0))
     # a dilation by 1e-13 puts the image inside the vertex tolerance
-    with pytest.raises(ConeVertexError, match="cone vertex"):
+    with pytest.raises(ConeVertexError, match="^image crosses the cone vertex$"):
         act_plane(group_element(1e-13 * np.eye(3), (0.0, 0.0, 0.0), 1.0), PlanePoint(1.0, 0.0))
+    for sheet in (0, 2, -1.5):
+        for call in (lambda: act_plane(identity(), PlanePoint(1.0, 0.0), sheet),
+                     lambda: vf_plane(algebra(x1=1.0), PlanePoint(1.0, 0.0), sheet)):
+            with pytest.raises(SymmetryError, match=r"^sheet must be \+1 or -1$"):
+                call()
+
+
+def test_plane_kernels_keep_the_cone_lift_formulas_bits():
+    # the former kernels, written out: the lift z = sheet * r with r = p.r, then
+    # act_plane's row sums over the cached rows and vf_plane's field
+    for g, rng in _seeded_elements(24, 12):
+        x = AlgebraElement(*rng.uniform(-1.0, 1.0, size=7))
+        q, x2, x3, x4, x5, x6, x7 = float(x.x1) / 4.0, *map(float, x.coords()[1:].tolist())
+        (a0, a1, a2, a3), (b0, b1, b2, b3), _, (w0, w1, w2, w3) = g.rows
+        for _ in range(20):
+            p = PlanePoint(*rng.uniform(-4.0, 4.0, size=2).tolist())
+            for sheet in (1, -1):
+                px, py, pz = p.x, p.y, sheet * p.r
+                w = (w0 * px + w2 * pz) + (w1 * py + w3)
+                want = (((a0 * px + a2 * pz) + (a1 * py + a3)) / w,
+                        ((b0 * px + b2 * pz) + (b1 * py + b3)) / w)
+                got = act_plane(g, p, sheet)
+                assert np.array(got.as_tuple()).tobytes() == np.array(want).tobytes()
+                u3 = (x5 * px + x7 * pz) + (x6 * py - 3.0 * q)
+                want = ((q * px + x3 * pz) - x2 * py - px * u3,
+                        (x2 * px + x4 * pz) + q * py - py * u3)
+                assert np.array(vf_plane(x, p, sheet)).tobytes() == np.array(want).tobytes()
 
 
 def test_vf_plane_is_the_matrix_formula():

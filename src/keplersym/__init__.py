@@ -25,7 +25,6 @@ from .orbit import (
     from_abc,
     geometry,
     newton_flow,
-    radius,
     sample,
 )
 from .symmetry import (
@@ -74,6 +73,5 @@ __all__ = [
     "norm2",
     "pencil_classify",
     "point_plane",
-    "radius",
     "sample",
 ]

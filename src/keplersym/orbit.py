@@ -200,13 +200,6 @@ def rho(o: KeplerOrbit, theta: float, sign: float = 1.0) -> float:
     return o.a * math.cos(theta) + o.b * math.sin(theta) + sign * o.c
 
 
-def radius(o: KeplerOrbit, theta: float, branch: str = "attractive") -> float:
-    p = rho(o, theta, _branch_sign(branch))
-    if p <= 0.0:  # also where rounding cancels rho of an extreme triple
-        raise BranchDomainError(f"theta={theta} is outside the {branch} branch domain (rho={p})")
-    return 1.0 / p
-
-
 def _points(o: KeplerOrbit, thetas, branch: str) -> list[PlanePoint]:
     """The branch's points at the angles: r = 1/rho, (r cos, r sin)."""
     sign = _branch_sign(branch)
@@ -385,13 +378,12 @@ def newton_grid(o: KeplerOrbit, dt: float | None = None) -> tuple[float, int]:
     return dt, 10_000
 
 
-def rk4(f, y0, h: float, steps: int, guard=None) -> np.ndarray:
+def rk4(f, y0, h: float, steps: int) -> np.ndarray:
     """Classic fixed-step RK4 for y' = f(y); returns the (steps+1, d) or (steps+1, d, n) states.
 
     The state is a tuple of d floats, or of d equal-length numpy columns
     that carry n systems through the same operations at once.  `f` takes
-    and returns such a tuple.  `guard(t, y)` runs before each step,
-    t = i*h being its start time, and may raise to stop the run.
+    and returns such a tuple.
     """
     if not y0:
         raise ValueError("rk4 needs a non-empty state")
@@ -405,8 +397,6 @@ def rk4(f, y0, h: float, steps: int, guard=None) -> np.ndarray:
     out[0] = y
     h2, h6 = 0.5 * h, h / 6.0
     for i in range(steps):
-        if guard is not None:
-            guard(i * h, y)
         k1 = f(y)
         k2 = f(tuple([a + h2 * b for a, b in zip(y, k1)]))
         k3 = f(tuple([a + h2 * b for a, b in zip(y, k2)]))

@@ -5,8 +5,11 @@ homogeneous coordinates (X:Y:Z:W) preserves the cone X^2+Y^2=Z^2 up to
 scale; group elements are block matrices [[A, 0], [b^T, lam]] with A in
 CO(2,1).  The group acts on the punctured Kepler plane through cone
 lifts q = (x, y, sheet*r, 1) and, contragradiently, on the dual space
-of orbit triples (a, b, c).  Both actions are realized exactly; flows
-of the infinitesimal generators provide an independent numeric route.
+of orbit triples (a, b, c).  Both actions are realized exactly and act
+globally: a plane image is projected to the chart W != 0 only at the
+end.  RK4 flows of the generators' linear fields, u' = X u on the cone
+lift and the dual field on (a, b, c), provide an independent numeric
+route to the same images for every time t.
 """
 
 from __future__ import annotations
@@ -36,12 +39,6 @@ class ChartExitError(SymmetryError):
 
 class ConeVertexError(SymmetryError):
     """Image crossed the cone vertex (projected radius vanished)."""
-
-
-class FlowExitError(SymmetryError):
-    def __init__(self, message: str, t_exit: float):
-        super().__init__(f"{message} (exit time ~ {t_exit:.6g})")
-        self.t_exit = t_exit
 
 
 @dataclass(frozen=True)
@@ -213,22 +210,34 @@ def inverse(g: GroupElement) -> GroupElement:
 # Actions
 # --------------------------------------------------------------------------
 
-def act_plane(g: GroupElement, p: PlanePoint, sheet: int = 1) -> PlanePoint:
-    """Projective action through the cone lift q = (x, y, sheet*r, 1): q -> A q / (lam + b.q),
-    each row times q summed as (x, z) terms plus (y, 1) terms, as numpy's 4x4 matmul pairs them."""
-    px, py = p.x, p.y
+def _lift(p: PlanePoint, sheet: int) -> tuple[float, float, float]:
+    """(x, y, sheet*r): the first three entries of the cone lift q = (x, y, sheet*r, 1)."""
     if sheet not in (1, -1):
         raise SymmetryError("sheet must be +1 or -1")
-    pz = sheet * math.hypot(px, py)
-    (a0, a1, a2, a3), (b0, b1, b2, b3), _, (w0, w1, w2, w3) = g.rows
-    w = (w0 * px + w2 * pz) + (w1 * py + w3)
+    px, py = p.x, p.y
+    return px, py, sheet * math.hypot(px, py)
+
+
+def _chart_point(x: float, y: float, w: float, lift: tuple) -> PlanePoint:
+    """The plane point (x/w, y/w) of an image u = (x, y, ., w) of the cone lift
+    q = (*lift, 1), refused where w vanishes against |q| (the image leaves the
+    chart W != 0) or where the point is the cone vertex."""
+    px, py, pz = lift
     if abs(w) <= CHART_TOL * math.sqrt(px * px + py * py + pz * pz + 1.0):
         raise ChartExitError("image leaves the affine chart")
-    x = ((a0 * px + a2 * pz) + (a1 * py + a3)) / w
-    y = ((b0 * px + b2 * pz) + (b1 * py + b3)) / w
+    x, y = x / w, y / w
     if math.hypot(x, y) <= 1e-12:
         raise ConeVertexError("image crosses the cone vertex")
     return PlanePoint(x, y)
+
+
+def act_plane(g: GroupElement, p: PlanePoint, sheet: int = 1) -> PlanePoint:
+    """Projective action through the cone lift q = (x, y, sheet*r, 1): q -> A q / (lam + b.q),
+    each row times q summed as (x, z) terms plus (y, 1) terms, as numpy's 4x4 matmul pairs them."""
+    lift = px, py, pz = _lift(p, sheet)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), _, (w0, w1, w2, w3) = g.rows
+    return _chart_point((a0 * px + a2 * pz) + (a1 * py + a3), (b0 * px + b2 * pz) + (b1 * py + b3),
+                        (w0 * px + w2 * pz) + (w1 * py + w3), lift)
 
 
 def act_dual(g: GroupElement, v: MinkVec) -> MinkVec:
@@ -246,10 +255,7 @@ def vf_plane(x: AlgebraElement, p: PlanePoint, sheet: int = 1) -> tuple[float, f
     """Infinitesimal plane action: gamma'(0) for gamma(t) = pi(e^{tX} q), as (vx, vy):
     u[:2] - (x, y) u[3] for u = matrix @ q, each row summed as in act_plane."""
     q, x2, x3, x4, x5, x6, x7 = _entries(x)
-    px, py = p.x, p.y
-    if sheet not in (1, -1):
-        raise SymmetryError("sheet must be +1 or -1")
-    pz = sheet * math.hypot(px, py)
+    px, py, pz = _lift(p, sheet)
     u3 = (x5 * px + x7 * pz) + (x6 * py - 3.0 * q)
     return ((q * px + x3 * pz) - x2 * py - px * u3, (x2 * px + x4 * pz) + q * py - py * u3)
 
@@ -300,30 +306,34 @@ def fixed_energy_algebra(energy: float) -> tuple[AlgebraElement, AlgebraElement,
     return (g2, g3, g4)
 
 
-def _rk4_endpoint(field, y0: tuple, t: float, steps: int | None, guard=None) -> np.ndarray:
+def _rk4_endpoint(field, y0: tuple, t: float, steps: int | None) -> np.ndarray:
     """RK4 endpoint of y' = field(y) after time t, by default in max(200, ceil(2000|t|)) steps."""
     if steps is None:
         steps = max(200, math.ceil(abs(t) * 2000))
-    return rk4(field, y0, t / steps, steps, guard)[-1]
-
-
-def _plane_exit(s: float, xy: tuple) -> None:
-    r = math.hypot(xy[0], xy[1])
-    if r < 1e-12 or r > 1e12:
-        raise FlowExitError("flow left the punctured plane", s)
+    return rk4(field, y0, t / steps, steps)[-1]
 
 
 def flow(x: AlgebraElement, p: PlanePoint, t: float, sheet: int = 1,
          steps: int | None = None) -> PlanePoint:
     """RK4 endpoint of the plane flow of X; cross-validates act_plane o exp.
 
-    The last three coordinate fields are incomplete: trajectories can run
-    off to infinity or into the puncture in finite time, reported as a
-    flow exit with the current time estimate.
+    Integrates the linear field u' = X u from the cone lift u = (x, y, sheet*r, 1),
+    each row summed in column order, and projects the endpoint once, through
+    act_plane's chart and vertex checks.  e^{tX} is defined for every t, so the
+    flow is too: a path may cross the line at infinity W = 0 on the way, and
+    only an endpoint on that line raises ChartExitError.
     """
-    end = _rk4_endpoint(lambda xy: vf_plane(x, PlanePoint(*xy), sheet),
-                        p.as_tuple(), t, steps, _plane_exit)
-    return PlanePoint(*end.tolist())
+    q, x2, x3, x4, x5, x6, x7 = _entries(x)
+    w3 = -3.0 * q
+
+    def field(u: tuple) -> tuple:
+        a, b, c, w = u
+        return (q * a - x2 * b + x3 * c, x2 * a + q * b + x4 * c, x3 * a + x4 * b + q * c,
+                x5 * a + x6 * b + x7 * c + w3 * w)
+
+    lift = _lift(p, sheet)
+    a, b, _, w = _rk4_endpoint(field, (*lift, 1.0), t, steps).tolist()
+    return _chart_point(a, b, w, lift)
 
 
 def flow_dual(x: AlgebraElement, v: MinkVec, t: float, steps: int | None = None) -> MinkVec:

@@ -17,13 +17,13 @@ def weaker_force(monkeypatch):
     """newton_flow's force -r/|r|^3 becomes -r/|r|^2.999."""
     rk4 = ko.rk4
 
-    def mutant(f, y0, h, steps, guard=None):
+    def mutant(f, y0, h, steps):
         def field(s):
             vx, vy, ax, ay = f(s)
             scale = math.hypot(s[0], s[1]) ** 0.001
             return (vx, vy, ax * scale, ay * scale)
 
-        return rk4(field, y0, h, steps, guard)
+        return rk4(field, y0, h, steps)
 
     monkeypatch.setattr(ko, "rk4", mutant)
 

@@ -5,8 +5,9 @@ plane a*x + b*y + c*z = 1 cutting the cone x^2 + y^2 = z^2; the orbit is
 the orthogonal projection of that section.  The triple determines the
 conserved quantities (eccentricity, energy, |angular momentum|), the
 polar radius function of the attractive branch, and the repelling-branch
-membership test for hyperbolas.  A fixed-step RK4 integration of the
-inverse-square flow serves as the independent dynamics oracle.
+membership test for hyperbolas.  An RK4 integration of the inverse-square
+flow in Sundman time, in the steps of the one step rule `step_doubled`,
+serves as the independent dynamics oracle; `kepler_time` checks its clock.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ class FitError(OrbitError):
 
 
 class IntegrationError(OrbitError):
-    pass
+    """An RK4 oracle failed; `residual` is its last run's largest |residual|."""
+
+    def __init__(self, message: str, residual: float = math.inf):
+        super().__init__(message)
+        self.residual = residual
 
 
 class Membership(str, Enum):
@@ -336,9 +341,14 @@ def fit(points) -> FitResult:
 # Newtonian dynamics oracle
 # --------------------------------------------------------------------------
 
+NEWTON_TARGET = 1e-10  # newton_flow's step-doubling target for its residuals
+NEWTON_CAP = 64_000  # 250 doubled 8 times; e = 0.95 meets the target at 16,000
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    t: np.ndarray  # (N,)
+    s: np.ndarray  # (N,) Sundman time, ds = dt / r
+    t: np.ndarray  # (N,) the integrated time
     pos: np.ndarray  # (N, 2)
     vel: np.ndarray  # (N, 2)
 
@@ -352,30 +362,44 @@ class Trajectory:
     def ang_momenta(self) -> np.ndarray:
         return self.pos[:, 0] * self.vel[:, 1] - self.pos[:, 1] * self.vel[:, 0]
 
-
-def period(o: KeplerOrbit) -> float:
-    """Orbital period of an ellipse (unit gravitational parameter)."""
-    if o.conic_class() is not ConicClass.ELLIPSE:
-        raise OrbitError("only ellipses are periodic")
-    return 2.0 * math.pi * geometry(o).semi_major ** 1.5
+    def residuals(self, o: KeplerOrbit) -> np.ndarray:
+        """(3, N): the attractive conic residual, and energy and |angular momentum| minus o's."""
+        return np.array([conic_residual(o, *self.pos.T, self.radii()), self.energies() - o.energy,
+                         np.abs(self.ang_momenta()) - o.ang_momentum])
 
 
-def _pericenter_time_scale(o: KeplerOrbit) -> float:
-    # circular-orbit period at the pericenter radius; resolves the fastest
-    # part of the motion uniformly across eccentricities
-    r0 = 1.0 / (math.hypot(o.a, o.b) + o.c)
-    return 2.0 * math.pi * r0 ** 1.5
+def kepler_time(o: KeplerOrbit, s) -> np.ndarray:
+    """The universal Kepler equation: the time since the pericenter at Sundman
+    time s (dt = r ds) is r0 s + e s^3 S(-2E s^2), with Stumpff's
+    S(z) = sum_k (-z)^k / (2k+3)!, which is (w - sin w) / w^3 at z = w^2 and
+    (sinh w - w) / w^3 at z = -w^2; 9 terms of the series where |z| < 1."""
+    s = np.asarray(s, dtype=float)
+    z = -2.0 * o.energy * s * s
+    near = np.abs(z) < 1.0  # where the closed forms cancel
+    w = np.sqrt(np.where(near, 1.0, np.abs(z)))
+    series = sum(np.where(near, -z, 0.0) ** k / math.factorial(2 * k + 3) for k in range(9))
+    stumpff = np.where(near, series, np.where(z > 0.0, w - np.sin(w), np.sinh(w) - w) / w**3)
+    return s / (math.hypot(o.a, o.b) + o.c) + o.eccentricity * s**3 * stumpff
 
 
-def newton_grid(o: KeplerOrbit, dt: float | None = None) -> tuple[float, int]:
-    """`newton_flow`'s default (dt, steps): dt is 1e-4 pericenter time scales
-    unless given, and the steps cover one period of an ellipse (at most
-    200,000 of them) or are 10,000 for an open orbit."""
-    if dt is None:
-        dt = 1e-4 * _pericenter_time_scale(o)
-    if o.conic_class() is ConicClass.ELLIPSE:
-        return dt, min(math.ceil(period(o) / dt), 200_000)
-    return dt, 10_000
+def step_doubled(run, first: int, cap: int, target: float) -> tuple[np.ndarray, int, float]:
+    """Step doubling (Richardson; Hairer, Norsett and Wanner, *Solving ODEs I*,
+    II.4): `run(n)` gives an RK4 oracle's signed residuals after n steps over a
+    fixed span, along a last axis of the n + 1 grid times or of the endpoint
+    alone.  Returns (r_N, N, estimate) at the first N of first, 2 first, ...
+    whose estimate max|r_N - r_(N/2)| / 15 on the shared grid is at most
+    `target`; reaching `cap` raises IntegrationError.
+    """
+    n, prev, estimate = first, run(first), math.inf
+    while 2 * n <= cap:
+        n *= 2
+        r = run(n)
+        estimate = float(np.max(np.abs(r[..., ::2] - prev))) / 15.0
+        if estimate <= target:
+            return r, n, estimate
+        prev = r
+    message = f"steps={n} reached the cap {cap} with estimate {estimate:.1e} > {target:.0e}"
+    raise IntegrationError(message, float(np.max(np.abs(prev))))
 
 
 def rk4(f, y0, h: float, steps: int) -> np.ndarray:
@@ -407,33 +431,46 @@ def rk4(f, y0, h: float, steps: int) -> np.ndarray:
     return out
 
 
-def newton_flow(o: KeplerOrbit, steps: int | None = None, dt: float | None = None) -> Trajectory:
-    """Fixed-step RK4 trajectory of r'' = -r/|r|^3 from the pericenter.
+def newton_flow(o: KeplerOrbit, steps: int | None = None) -> Trajectory:
+    """RK4 trajectory of r'' = -r/|r|^3 from the pericenter, in Sundman time.
 
-    Starts at pericenter distance 1/(sqrt(a^2+b^2)+c) with speed |M|/r0
-    perpendicular to the radius, so the trace must satisfy the orbit's
-    defining equation a x + b y + c r = 1.  Defaults integrate one full
-    period for ellipses (step count capped) and a fixed arc otherwise.
+    Integrates (x, y, vx, vy, t)' = (r vx, r vy, -x/r^2, -y/r^2, r) in s,
+    dt = r ds (Sundman 1912; Stiefel and Scheifele, *Linear and Regular
+    Celestial Mechanics*, 1971), from pericenter distance r0 with speed |M|/r0
+    perpendicular to the radius, so the trace must satisfy a x + b y + c r = 1,
+    over one period of an ellipse or the time 2 pi r0^1.5 of an open orbit.
+    `steps` fixes the step count; by default `step_doubled` picks it from 250
+    on `Trajectory.residuals`, to NEWTON_TARGET; at NEWTON_CAP it raises IntegrationError.
     """
-    dt, default_steps = newton_grid(o, dt)
-    if steps is None:
-        steps = default_steps
-    t0 = o.pericenter_angle
     r0 = 1.0 / (math.hypot(o.a, o.b) + o.c)
+    if o.conic_class() is ConicClass.ELLIPSE:
+        span = 2.0 * math.pi / math.sqrt(-2.0 * o.energy)  # one period in s
+    else:  # t >= r0 s, so t reaches 2 pi r0^1.5 on this grid; to within 1e-5 of it by interpolation
+        s = np.linspace(0.0, 2.0 * math.pi * r0**0.5, 4097)
+        span = float(np.interp(2.0 * math.pi * r0**1.5, kepler_time(o, s), s))
+    t0 = o.pericenter_angle
     ux, uy = math.cos(t0), math.sin(t0)
     v0 = o.ang_momentum / r0
 
-    def deriv(s: tuple) -> tuple:
-        x, y, vx, vy = s
+    def field(state: tuple) -> tuple:
+        x, y, vx, vy, _ = state
         r = math.hypot(x, y)
         if r < 1e-9:
             raise IntegrationError("trajectory reached the attracting center")
-        inv_r3 = 1.0 / (r * r * r)
-        return (vx, vy, -x * inv_r3, -y * inv_r3)
+        k = 1.0 / (r * r)
+        return (r * vx, r * vy, -x * k, -y * k, r)
 
-    out = rk4(deriv, (r0 * ux, r0 * uy, v0 * -uy, v0 * ux), dt, steps)
-    t = dt * np.arange(steps + 1)
-    return Trajectory(t=t, pos=out[:, :2], vel=out[:, 2:])
+    def run(n: int) -> Trajectory:
+        h = span / n
+        out = rk4(field, (r0 * ux, r0 * uy, v0 * -uy, v0 * ux, 0.0), h, n)
+        return Trajectory(s=h * np.arange(n + 1), t=out[:, 4], pos=out[:, :2], vel=out[:, 2:4])
+
+    if steps is not None:
+        return run(steps)
+    runs = {}
+    _, n, _ = step_doubled(lambda n: runs.setdefault(n, run(n)).residuals(o),
+                           250, NEWTON_CAP, NEWTON_TARGET)
+    return runs[n]
 
 
 # --------------------------------------------------------------------------

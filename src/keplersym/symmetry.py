@@ -146,6 +146,8 @@ def group_element(A: np.ndarray, b: np.ndarray, lam: float) -> GroupElement:
 
 def group_from_matrix(m: np.ndarray) -> GroupElement:
     m = np.array(m, dtype=float)
+    if not np.all(np.isfinite(m)):  # NaN would pass every comparison below
+        raise SymmetryError("a group element must be finite")
     scale = 1.0 + float(np.max(np.abs(m)))
     if float(np.max(np.abs(m[:3, 3]))) > BLOCK_TOL * scale:
         raise SymmetryError("upper-right block must vanish")
@@ -175,8 +177,6 @@ _THETA13 = 5.371920351148152
 def _expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by Padé-13 scaling and squaring."""
     norm = float(np.max(np.sum(np.abs(m), axis=0)))
-    if not math.isfinite(norm):
-        raise SymmetryError("the exponential needs a finite generator")
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
     a = m / 2.0**s
     b = _PADE13
@@ -195,6 +195,9 @@ def _expm(m: np.ndarray) -> np.ndarray:
 
 def exp_map(x: AlgebraElement, t: float = 1.0) -> GroupElement:
     """Matrix exponential of t*X, validated as a group element."""
+    # a bound on the 1-norm of t X, in Python floats, which overflow without a warning
+    if not math.isfinite(4.0 * abs(float(t)) * max(map(abs, x.coords().tolist()))):
+        raise SymmetryError("the exponential needs a finite generator")
     return group_from_matrix(_expm(t * x.matrix))
 
 

@@ -12,7 +12,9 @@ which registers it and pins its tolerance; the report calls it `<name>`,
 and `rng` is seeded from the seed and that name.  The body returns its
 residual, or `(residual, detail)`, and passes when the residual is at most
 `tol` (NaN fails).  It raises `CaseFailed(residual, detail)` to fail
-whatever the residual; any other exception is the `error` verdict.
+whatever the residual, and an RK4 oracle that fails (`IntegrationError`,
+such as step doubling that reaches its cap) fails it too; any other
+exception is the `error` verdict.
 """
 
 from __future__ import annotations
@@ -32,15 +34,16 @@ from . import kmaps
 from . import theorems as th
 from .minkowski import MinkVec, PlaneType, classify_plane, pencil_classify, point_plane
 from .orbit import (
+    IntegrationError,
     KeplerOrbit,
     PlanePoint,
-    conic_residual,
     from_abc,
     fit,
+    kepler_time,
     membership_residual,
     newton_flow,
-    newton_grid,
     sample,
+    step_doubled,
 )
 from .symmetry import (
     AlgebraElement,
@@ -138,6 +141,8 @@ def case(suite: str, tol: float):
             except CaseFailed as failed:
                 residual, detail = failed.args
                 return CaseResult(name, "fail", float(residual), tol, detail)
+            except IntegrationError as failed:
+                return CaseResult(name, "fail", failed.residual, tol, str(failed))
             except Exception as err:  # a broken case is reported, not raised
                 return CaseResult(name, "error", None, tol, detail=repr(err))
             residual, detail = out if isinstance(out, tuple) else (out, "")
@@ -153,26 +158,6 @@ def case(suite: str, tol: float):
 def _worst(*residuals: float) -> float:
     """The largest residual, a NaN counting as infinite (`max` would drop it)."""
     return max(math.inf if r != r else r for r in residuals)
-
-
-def _step_doubled(run, first: int, cap: int, target: float) -> tuple[np.ndarray, int, float]:
-    """Step doubling (Richardson; Hairer, Norsett and Wanner, *Solving ODEs I*,
-    II.4): `run(n)` gives an RK4 oracle's signed residuals after n steps over a
-    fixed span, along a last axis of the n + 1 grid times or of the endpoint
-    alone.  Returns (r_N, N, estimate) at the first N of first, 2 first, ...
-    whose estimate max|r_N - r_(N/2)| / 15 on the shared grid is at most
-    `target`; reaching `cap` fails the case.
-    """
-    n, prev, estimate = first, run(first), math.inf
-    while 2 * n <= cap:
-        n *= 2
-        r = run(n)
-        estimate = float(np.max(np.abs(r[..., ::2] - prev))) / 15.0
-        if estimate <= target:
-            return r, n, estimate
-        prev = r
-    raise CaseFailed(float(np.max(np.abs(prev))),
-                     f"steps={n} reached the cap {cap} with estimate {estimate:.1e} > {target:.0e}")
 
 
 def _random_orbit(rng, c_range=(0.5, 2.0), e_range=(0.0, 1.6)) -> KeplerOrbit:
@@ -311,7 +296,7 @@ def case_fixed_energy_quadric(seed: int, rng) -> tuple[float, str]:
         a, b, c = np.array([v.as_tuple() for v in flow_dual_batch(gens, starts, 0.8, steps)]).T
         return (a * a + b * b - (c - np.abs(energy)) ** 2 + energy * energy)[:, None]
 
-    r, steps, estimate = _step_doubled(residuals, 100, 1600, QUADRIC_TARGET)
+    r, steps, estimate = step_doubled(residuals, 100, 1600, QUADRIC_TARGET)
     return float(np.max(np.abs(r))), f"steps={steps}, estimate={estimate:.1e}"
 
 
@@ -572,31 +557,25 @@ def case_envelope_hooke(seed: int, rng) -> float:
 
 
 NEWTON_ORBITS = ((0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (2.0, 0.0, 1.0))
-NEWTON_TARGET = 1e-10  # newton_conservation's tolerance / 100, the pair's smaller
 
 
 @functools.cache
 def _newton_residuals() -> tuple[float, float, str]:
-    """(membership, conservation, detail) of the RK4 Newton oracle; seed-free.
-    Each orbit spans newton_flow's default run, in the steps step doubling picks."""
-    worst, steps, estimates = [], [], []
+    """(membership, conservation, detail) of the RK4 Newton oracle at
+    newton_flow's defaults; seed-free.  Membership also holds the time
+    column's distance from the universal Kepler equation, relative to the
+    run's time span."""
+    worst, steps = [], []
     for triple in NEWTON_ORBITS:
         o = from_abc(*triple)
-        dt, cap = newton_grid(o)
-
-        def residuals(n: int) -> np.ndarray:
-            traj = newton_flow(o, steps=n, dt=cap * dt / n)
-            return np.array([conic_residual(o, *traj.pos.T, traj.radii()),
-                             traj.energies() - o.energy,
-                             np.abs(traj.ang_momenta()) - o.ang_momentum])
-
-        r, n, estimate = _step_doubled(residuals, 500, cap, NEWTON_TARGET)
-        worst.append(np.max(np.abs(r), axis=1))
-        steps.append(n)
-        estimates.append(estimate)
-    membership, energy, momentum = np.max(worst, axis=0)  # a NaN propagates
-    return (float(membership), float(np.max([energy, momentum])),
-            f"steps={steps}, estimate={max(estimates):.1e}")
+        traj = newton_flow(o)
+        kepler = kepler_time(o, traj.s)
+        timing = np.max(np.abs(traj.t - kepler)) / kepler[-1]
+        worst.append([*np.max(np.abs(traj.residuals(o)), axis=1), timing])
+        steps.append(len(traj.t) - 1)
+    conic, energy, momentum, timing = np.max(worst, axis=0)  # a NaN propagates
+    return (float(_worst(conic, timing)), float(_worst(energy, momentum)),
+            f"steps={steps}, time_residual={timing:.1e}")
 
 
 @case("theorems", tol=1e-6)

@@ -13,19 +13,29 @@ from keplersym import orbit as ko
 from keplersym import verify as vf
 
 
-def weaker_force(monkeypatch):
-    """newton_flow's force -r/|r|^3 becomes -r/|r|^2.999."""
+def _newton_field(monkeypatch, mutate):
+    """Install `mutate(state, (x', y', vx', vy', t'))` on newton_flow's Sundman-time field."""
     rk4 = ko.rk4
 
     def mutant(f, y0, h, steps):
-        def field(s):
-            vx, vy, ax, ay = f(s)
-            scale = math.hypot(s[0], s[1]) ** 0.001
-            return (vx, vy, ax * scale, ay * scale)
-
-        return rk4(field, y0, h, steps)
+        return rk4(lambda s: mutate(s, f(s)), y0, h, steps)
 
     monkeypatch.setattr(ko, "rk4", mutant)
+
+
+def weaker_force(monkeypatch):
+    """newton_flow's force -r/|r|^3 becomes -r/|r|^2.999."""
+
+    def mutate(s, d):
+        scale = math.hypot(s[0], s[1]) ** 0.001
+        return (d[0], d[1], d[2] * scale, d[3] * scale, d[4])
+
+    _newton_field(monkeypatch, mutate)
+
+
+def faster_clock(monkeypatch):
+    """newton_flow's time component dt/ds = r becomes r (1 + 1e-3)."""
+    _newton_field(monkeypatch, lambda s, d: (*d[:4], d[4] * (1 + 1e-3)))
 
 
 def scaled_fixed_energy_k(monkeypatch):
@@ -42,6 +52,7 @@ def scaled_fixed_energy_k(monkeypatch):
 MUTANTS = [
     (vf.case_newton_membership, weaker_force),
     (vf.case_newton_conservation, weaker_force),
+    (vf.case_newton_membership, faster_clock),
     (vf.case_fixed_energy_quadric, scaled_fixed_energy_k),
 ]
 

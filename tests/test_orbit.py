@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from keplersym import orbit as ko
+from keplersym import theorems as th
 from keplersym.orbit import (
     BranchDomainError,
     ConicClass,
@@ -353,7 +354,8 @@ def test_newton_flow_membership_ellipse():
     traj = newton_flow(o)
     assert np.max(np.abs(conic_residual(o, traj.pos[:, 0], traj.pos[:, 1], traj.radii()))) <= 1e-6
     # one full period was integrated
-    assert ko.period(o) <= traj.t[-1] <= ko.period(o) + 2 * traj.t[1]
+    period = 2.0 * math.pi * geometry(o).semi_major**1.5
+    assert abs(traj.t[-1] - period) <= 1e-8 * period
 
 
 def test_newton_flow_hyperbola_conservation():
@@ -365,18 +367,57 @@ def test_newton_flow_hyperbola_conservation():
     assert np.max(np.abs(np.abs(M) - 1.0)) <= 1e-10
 
 
-def test_newton_grid_is_newton_flows_default():
-    counts = {(0, 0, 1): 10_000, (0.5, 0, 1): 28_285, (2, 0, 1): 10_000, (1, 0, 1): 10_000}
-    for abc, steps in counts.items():
+def test_newton_flows_step_rule_and_its_refusal_at_the_cap(monkeypatch):
+    def estimate(o, fine, coarse):
+        return np.max(np.abs(fine.residuals(o)[:, ::2] - coarse.residuals(o))) / 15.0
+
+    for abc in [(0.3, 0.1, 2.0), (2.0, 0.0, 1.0)]:
         o = from_abc(*abc)
-        assert ko.newton_grid(o) == (1e-4 * ko._pericenter_time_scale(o), steps)
-    o = from_abc(0.95, 0, 1)
-    assert ko.newton_grid(o)[1] == 200_000
-    assert ko.newton_grid(o, 0.5) == (0.5, math.ceil(ko.period(o) / 0.5))
-    o = from_abc(0.3, 0.1, 2.0)
-    dt, steps = ko.newton_grid(o)
-    traj = newton_flow(o)
-    assert (len(traj.t), traj.t[1]) == (steps + 1, dt)
+        traj = newton_flow(o)
+        n = len(traj.t) - 1
+        assert n in [250 * 2**k for k in range(1, 9)]
+        half = newton_flow(o, steps=n // 2)
+        assert estimate(o, traj, half) <= ko.NEWTON_TARGET
+        if n > 500:  # the doubling before did not meet the target
+            assert estimate(o, half, newton_flow(o, steps=n // 4)) > ko.NEWTON_TARGET
+        assert np.array_equal(traj.pos, newton_flow(o, steps=n).pos)
+    o = from_abc(0.95, 0, 1)  # its default meets the target at 16,000 steps
+    monkeypatch.setattr(ko, "NEWTON_CAP", 4000)
+    with pytest.raises(ko.IntegrationError, match=r"^steps=4000 reached the cap 4000 with estimate ") as err:
+        newton_flow(o)
+    assert 1e-10 < err.value.residual < 1e-6
+
+
+def test_newton_flow_spans_one_period_or_the_open_orbits_time():
+    for abc in [(0.3, 0.1, 2.0), (1.0, 0.0, 1.0), (2.0, 0.0, 1.0), (0.0, -1.4, 0.8), (10.0, 0.0, 1.0)]:
+        o = from_abc(*abc)
+        traj = newton_flow(o, steps=400)
+        r0 = 1.0 / (math.hypot(o.a, o.b) + o.c)
+        if o.conic_class() is ConicClass.ELLIPSE:
+            assert traj.s[-1] == pytest.approx(2.0 * math.pi / math.sqrt(-2.0 * o.energy), rel=1e-15)
+        else:
+            assert ko.kepler_time(o, traj.s[-1]) == pytest.approx(2.0 * math.pi * r0**1.5, rel=1e-5)
+
+
+def test_kepler_time_is_keplers_equation_in_the_anomalies():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        o = random_orbit(rng, e_max=0.97)
+        if o.conic_class() is not ConicClass.ELLIPSE:
+            continue
+        semi, e = geometry(o).semi_major, o.eccentricity
+        for p in sample(o, 24):
+            u = th.eccentric_anomaly_of(o, p)  # s = sqrt(a) u when dt = r ds
+            want = semi**1.5 * (u - e * math.sin(u))  # (E - e sin E) / n
+            assert ko.kepler_time(o, math.sqrt(semi) * u) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    for _ in range(20):
+        o = random_orbit(rng, e_max=3.0)
+        if o.conic_class() is not ConicClass.HYPERBOLA:
+            continue
+        semi, e = geometry(o).semi_major, o.eccentricity
+        for h in rng.uniform(-3.0, 3.0, size=12):
+            want = semi**1.5 * (e * math.sinh(h) - h)
+            assert ko.kepler_time(o, math.sqrt(semi) * h) == pytest.approx(want, rel=1e-12)
 
 
 def _array_rk4(f, y, h, steps):
@@ -395,22 +436,24 @@ def _array_rk4(f, y, h, steps):
 @pytest.mark.parametrize("abc", [(0.5, -0.2, 1.0), (0.6, 0.8, 1.0), (2.0, 0.5, 1.0)])
 def test_newton_flow_matches_array_rk4(abc):
     o = from_abc(*abc)
-    dt, steps = 2e-3, 600
+    steps = 600
     t0 = o.pericenter_angle
     r0 = 1.0 / (math.hypot(o.a, o.b) + o.c)
     u = np.array([math.cos(t0), math.sin(t0)])
-    y0 = np.concatenate([r0 * u, (o.ang_momentum / r0) * np.array([-u[1], u[0]])])
+    y0 = np.concatenate([r0 * u, (o.ang_momentum / r0) * np.array([-u[1], u[0]]), [0.0]])
 
-    def deriv(s):
+    def deriv(s):  # the Sundman-time field: d/ds = r d/dt
         r = math.hypot(s[0], s[1])
-        inv_r3 = 1.0 / (r * r * r)
-        return np.array([s[2], s[3], -s[0] * inv_r3, -s[1] * inv_r3])
+        k = 1.0 / (r * r)
+        return np.array([r * s[2], r * s[3], -s[0] * k, -s[1] * k, r])
 
-    want = _array_rk4(deriv, y0, dt, steps)
-    traj = newton_flow(o, steps=steps, dt=dt)
+    traj = newton_flow(o, steps=steps)
+    h = traj.s[1]
+    want = _array_rk4(deriv, y0, h, steps)
     assert np.array_equal(traj.pos, want[:, :2])
-    assert np.array_equal(traj.vel, want[:, 2:])
-    assert np.array_equal(traj.t, [i * dt for i in range(steps + 1)])
+    assert np.array_equal(traj.vel, want[:, 2:4])
+    assert np.array_equal(traj.t, want[:, 4])
+    assert np.array_equal(traj.s, [i * h for i in range(steps + 1)])
 
 
 def test_rk4_returns_the_state_array_and_guards_each_step():
@@ -445,14 +488,23 @@ def test_rk4_rejects_empty_or_mismatched_states(y0):
 
 def test_conserved_matches_flow_sweep():
     rng = np.random.default_rng(29)
+    refused = []
     for _ in range(100):
         o = random_orbit(rng, e_max=1.5)
-        traj = newton_flow(o, steps=1500)
+        try:
+            traj = newton_flow(o)
+        except ko.IntegrationError as err:
+            refused.append((o.eccentricity, str(err)))
+            continue
         e_measured = traj.energies()[-1]
         m_measured = abs(traj.ang_momenta()[-1])
         _, E, M = conserved(o)
         assert abs(e_measured - E) <= 1e-6 * (1.0 + abs(E))
         assert abs(m_measured - M) <= 1e-6 * (1.0 + M)
+    # the one draw whose period step doubling cannot close within its cap
+    ((ecc, message),) = refused
+    assert ecc == pytest.approx(0.99989, abs=1e-5)
+    assert message.startswith("steps=64000 reached the cap 64000 with estimate ")
 
 
 def test_orbit_dict_round_trip():

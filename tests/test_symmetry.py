@@ -528,6 +528,27 @@ def test_exp_map_rejects_non_finite_generators():
         exp_map(algebra(x2=math.inf))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x,t", [
+    (algebra(x2=1.0), math.inf),
+    (algebra(x2=1.0), math.nan),
+    (algebra(x7=math.inf), 0.0),
+    (algebra(x1=math.nan), 1.0),
+    (algebra(x5=1e300, x1=1.0), 1e10),  # finite factors, an overflowing product
+])
+def test_exp_map_refuses_non_finite_input_before_any_warning(x, t):
+    with pytest.raises(SymmetryError, match="finite"):
+        exp_map(x, t)
+
+
+def test_group_elements_must_be_finite():
+    with pytest.raises(SymmetryError, match="finite"):
+        group_element(np.eye(3), [0.0, math.nan, 0.0], 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the squarings overflow to NaN
+        with pytest.raises(SymmetryError, match="finite"):
+            exp_map(algebra(x1=1e307))
+
+
 def test_vf_dual_matches_the_matrix_product():
     # the field is summed in Python; BLAS may round the 1x4 @ 4x4 product differently
     rng = np.random.default_rng(13)

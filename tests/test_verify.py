@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from keplersym import orbit as ko
 from keplersym import verify as vf
-from keplersym.orbit import from_abc, newton_grid
 
 CASES = {
     "symmetry": ["vf_plane_closed_forms", "vf_dual_closed_forms", "commuting_square",
@@ -105,24 +105,26 @@ def test_step_doubled_oracles_sit_100x_below_their_tolerances(seed):
 def test_step_doubling_never_exceeds_the_default_step_counts(monkeypatch, fresh_newton):
     newton_steps, quadric_steps = [], []
 
-    def newton_flow(o, steps, dt):
-        newton_steps.append((o, steps))
-        return flow(o, steps, dt)
+    def rk4(f, y0, h, steps):
+        newton_steps.append(steps)
+        return integrate(f, y0, h, steps)
 
     def flow_dual_batch(xs, vs, t, steps):
         quadric_steps.append(steps)
         return batch(xs, vs, t, steps)
 
-    flow, batch = vf.newton_flow, vf.flow_dual_batch
-    monkeypatch.setattr(vf, "newton_flow", newton_flow)
+    integrate, batch = ko.rk4, vf.flow_dual_batch
+    monkeypatch.setattr(ko, "rk4", rk4)
     monkeypatch.setattr(vf, "flow_dual_batch", flow_dual_batch)
     assert vf.case_newton_membership(0).status == "pass"
     assert vf.case_fixed_energy_quadric(0).status == "pass"
-    assert {o for o, _ in newton_steps} == {from_abc(*t) for t in vf.NEWTON_ORBITS}
-    assert all(steps <= newton_grid(o)[1] for o, steps in newton_steps)
+    # each orbit doubles 250 up to the steps its detail names, within the cap
+    detail = vf.case_newton_membership(0).detail
+    final = json.loads(detail[len("steps="):detail.index("]") + 1])
+    assert len(final) == len(vf.NEWTON_ORBITS) and max(final) <= ko.NEWTON_CAP
+    assert newton_steps == [250 * 2**k for n in final for k in range(int(math.log2(n // 250)) + 1)]
     assert quadric_steps and max(quadric_steps) <= 1600
-    # the defaults take 10,000 + 28,285 + 10,000 steps
-    assert sum(steps for _, steps in newton_steps) <= 15_000
+    assert sum(newton_steps) <= 15_000
 
 
 def test_a_target_never_met_fails_at_the_cap_naming_it(monkeypatch, fresh_newton):
@@ -130,10 +132,11 @@ def test_a_target_never_met_fails_at_the_cap_naming_it(monkeypatch, fresh_newton
     result = vf.case_fixed_energy_quadric(0)
     assert result.status == "fail"
     assert result.detail.startswith("steps=1600 reached the cap 1600 with estimate ")
-    monkeypatch.setattr(vf, "NEWTON_TARGET", -1.0)
+    monkeypatch.setattr(ko, "NEWTON_TARGET", -1.0)
+    monkeypatch.setattr(ko, "NEWTON_CAP", 1000)
     result = vf.case_newton_membership(0)
     assert result.status == "fail"
-    assert result.detail.startswith("steps=8000 reached the cap 10000 with estimate ")
+    assert result.detail.startswith("steps=1000 reached the cap 1000 with estimate ")
 
 
 def test_step_doubled_compares_on_the_shared_grid():
@@ -141,11 +144,10 @@ def test_step_doubled_compares_on_the_shared_grid():
     def run(n):
         return np.full((2, n + 1), 1.0 / n)
 
-    r, n, estimate = vf._step_doubled(run, 10, 1000, 1e-3)
+    r, n, estimate = ko.step_doubled(run, 10, 1000, 1e-3)
     assert (n, r.shape) == (80, (2, 81))
     assert estimate == pytest.approx(1 / 1200)
-    with pytest.raises(vf.CaseFailed) as failed:
-        vf._step_doubled(lambda n: np.full((1, n + 1), math.nan), 10, 50, 1.0)
-    residual, detail = failed.value.args
-    assert math.isnan(residual)
-    assert detail == "steps=40 reached the cap 50 with estimate nan > 1e+00"
+    with pytest.raises(ko.IntegrationError) as failed:
+        ko.step_doubled(lambda n: np.full((1, n + 1), math.nan), 10, 50, 1.0)
+    assert math.isnan(failed.value.residual)
+    assert str(failed.value) == "steps=40 reached the cap 50 with estimate nan > 1e+00"
